@@ -1,15 +1,15 @@
-//! Shared analysis: FB prediction over epoch records, the HB predictor
-//! zoo, per-trace evaluation, dataset caching.
+//! Shared analysis: FB prediction over epoch records, per-trace
+//! evaluation, dataset caching.
 
 use crate::cli::Args;
 use tputpred_core::fb::{FbConfig, FbModel, FbPredictor, PartialEstimates, PathEstimates};
-use tputpred_core::hb::{Ewma, HoltWinters, MovingAverage};
+use tputpred_core::hb::HoltWinters;
 use tputpred_core::lso::{Lso, LsoConfig};
 use tputpred_core::metrics::{self, relative_error_floored};
 use tputpred_core::predictor::EpochObservation;
 use tputpred_stats::{Cdf, CdfError};
 use tputpred_testbed::{
-    load_or_generate_sharded, CompleteEpoch, Dataset, EpochRecord, Preset, ShardStats, TraceData,
+    load_or_generate_sharded, CompleteEpoch, Dataset, EpochRecord, Preset, TraceData,
 };
 
 /// Builds the CDF a figure series needs from a possibly degraded sample.
@@ -62,15 +62,10 @@ pub type PredictorZoo = Vec<(&'static str, PredictorCtor)>;
 /// parallelizes across cores; progress goes to stderr so figure output
 /// on stdout stays clean.
 pub fn load_dataset(args: &Args) -> Dataset {
-    load_dataset_with_shards(args).0
-}
-
-/// [`load_dataset`] plus the shard reuse counts, for binaries that
-/// report cache effectiveness (`gen_dataset`, `perf_report`).
-pub fn load_dataset_with_shards(args: &Args) -> (Dataset, ShardStats) {
     let dir = args.shard_dir();
     load_or_generate_sharded(&dir, &args.preset)
         .unwrap_or_else(|e| panic!("dataset at {}: {e}", dir.display()))
+        .0
 }
 
 /// The column set of the epoch CSV export (`export_csv`), in order.
@@ -229,37 +224,6 @@ pub fn fb_error(fb: &FbPredictor, rec: &CompleteEpoch) -> f64 {
     relative_error_floored(fb.predict(&a_priori(rec)), rec.r_large)
 }
 
-/// The standard predictor zoo of the HB evaluation (§6.1.1):
-/// `(label, constructor)` pairs.
-pub fn hb_zoo() -> PredictorZoo {
-    vec![
-        ("1-MA", || Box::new(MovingAverage::new(1)) as BoxedPredictor),
-        ("5-MA", || Box::new(MovingAverage::new(5)) as BoxedPredictor),
-        ("10-MA", || {
-            Box::new(MovingAverage::new(10)) as BoxedPredictor
-        }),
-        ("20-MA", || {
-            Box::new(MovingAverage::new(20)) as BoxedPredictor
-        }),
-        ("0.8-EWMA", || Box::new(Ewma::new(0.8)) as BoxedPredictor),
-        ("0.8-HW", || {
-            Box::new(HoltWinters::new(0.8, 0.2)) as BoxedPredictor
-        }),
-        ("5-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(5))) as BoxedPredictor
-        }),
-        ("10-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(10))) as BoxedPredictor
-        }),
-        ("20-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(20))) as BoxedPredictor
-        }),
-        ("0.8-HW-LSO", || {
-            Box::new(Lso::new(HoltWinters::new(0.8, 0.2))) as BoxedPredictor
-        }),
-    ]
-}
-
 /// The paper's headline HB predictor: Holt-Winters(α = 0.8, β = 0.2)
 /// with LSO.
 pub fn hw_lso() -> BoxedPredictor {
@@ -269,19 +233,19 @@ pub fn hw_lso() -> BoxedPredictor {
 /// One-step-ahead RMSRE of a fresh `make()` predictor over a throughput
 /// series (outlier epochs excluded per §6.1.3). `None` when the series is
 /// too short to score.
-pub fn trace_rmsre(make: fn() -> BoxedPredictor, series: &[f64]) -> Option<f64> {
+pub fn trace_rmsre(make: impl Fn() -> BoxedPredictor, series: &[f64]) -> Option<f64> {
     let mut p = make();
     metrics::evaluate(&mut p, series).rmsre()
 }
 
 /// Per-trace RMSREs of a predictor across the whole dataset, using the
 /// large-window throughput series.
-pub fn rmsre_per_trace(dataset: &Dataset, make: fn() -> BoxedPredictor) -> Vec<f64> {
+pub fn rmsre_per_trace(dataset: &Dataset, make: impl Fn() -> BoxedPredictor) -> Vec<f64> {
     dataset
         .paths
         .iter()
         .flat_map(|p| p.traces.iter())
-        .filter_map(|t| trace_rmsre(make, &t.throughput_series()))
+        .filter_map(|t| trace_rmsre(&make, &t.throughput_series()))
         .collect()
 }
 
@@ -298,6 +262,7 @@ pub fn cov_per_trace(dataset: &Dataset) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tputpred_core::hb::MovingAverage;
     use tputpred_testbed::{PathData, TraceData};
 
     fn record(p_hat: f64, r: f64) -> EpochRecord {
@@ -375,19 +340,6 @@ mod tests {
         assert_eq!(p.rtt, Some(0.05));
         assert_eq!(p.loss_rate, Some(0.02));
         assert_eq!(p.avail_bw, None);
-    }
-
-    #[test]
-    fn zoo_contains_the_papers_predictors() {
-        let names: Vec<&str> = hb_zoo().iter().map(|(n, _)| *n).collect();
-        for expected in ["1-MA", "10-MA", "0.8-EWMA", "0.8-HW", "0.8-HW-LSO"] {
-            assert!(names.contains(&expected), "missing {expected}");
-        }
-        // Constructors produce predictors with matching self-reported
-        // names.
-        for (label, make) in hb_zoo() {
-            assert_eq!(make().name(), label);
-        }
     }
 
     #[test]

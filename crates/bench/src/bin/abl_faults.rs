@@ -11,9 +11,9 @@
 //!   *partial* a-priori estimates — falling back across Eq. 3's branches
 //!   when `Â` or `p̂` is missing, and refusing (typed error, not NaN)
 //!   when no usable input survives;
-//! * **HB** (HW-LSO) scores over the gappy throughput series via
-//!   [`evaluate_gappy`] — missing epochs are skipped, not misread as
-//!   level shifts.
+//! * **HB** (HW-LSO) scores over each trace's epochs via
+//!   [`evaluate_epochs`] — an epoch without throughput is skipped, not
+//!   misread as a level shift.
 //!
 //! Expected shape: accuracy decays gracefully — RMSRE grows slowly with
 //! the fault rate, the refusal count grows instead of errors exploding,
@@ -35,7 +35,7 @@
 use tputpred_bench::{epoch_observations, fb_config, hw_lso, partial_a_priori, Args};
 use tputpred_core::catalog::predictor_by_name;
 use tputpred_core::fb::FbPredictor;
-use tputpred_core::metrics::{evaluate_epochs, evaluate_gappy, relative_error_floored, rmsre};
+use tputpred_core::metrics::{evaluate_epochs, relative_error_floored, rmsre};
 use tputpred_stats::{quantile, render};
 use tputpred_testbed::{generate, FaultConfig, Preset, RegimeConfig};
 
@@ -87,15 +87,12 @@ fn main() {
             }
         }
 
-        // HB over the gappy series of each trace.
+        // HB over each trace's epochs, gaps included.
         let hb_rmsres: Vec<f64> = ds
             .paths
             .iter()
             .flat_map(|p| p.traces.iter())
-            .filter_map(|t| {
-                let mut pred = hw_lso();
-                evaluate_gappy(&mut pred, &t.throughput_series_gappy()).rmsre()
-            })
+            .filter_map(|t| evaluate_epochs(&mut hw_lso(), &epoch_observations(t)).rmsre())
             .collect();
 
         let epochs = ds.epoch_count();
@@ -161,10 +158,7 @@ fn main() {
             .paths
             .iter()
             .flat_map(|p| p.traces.iter())
-            .filter_map(|t| {
-                let mut pred = hw_lso();
-                evaluate_gappy(&mut pred, &t.throughput_series_gappy()).rmsre()
-            })
+            .filter_map(|t| evaluate_epochs(&mut hw_lso(), &epoch_observations(t)).rmsre())
             .collect();
 
         // The three-tier fallback chain over the full epoch protocol:

@@ -5,34 +5,31 @@
 //! is worse); LSO significantly reduces RMSRE and removes the
 //! sensitivity to `n`.
 
-use tputpred_bench::{load_dataset, require_cdf, rmsre_per_trace, Args, PredictorZoo};
-use tputpred_core::hb::MovingAverage;
-use tputpred_core::lso::Lso;
+use tputpred_bench::{fb_config, load_dataset, require_cdf, rmsre_per_trace, Args};
+use tputpred_core::catalog::predictor_by_name;
 use tputpred_stats::render;
+
+/// The line-up, by predictor-catalog name.
+const VARIANTS: [&str; 7] = [
+    "1-MA",
+    "5-MA",
+    "10-MA",
+    "20-MA",
+    "5-MA-LSO",
+    "10-MA-LSO",
+    "20-MA-LSO",
+];
 
 fn main() {
     let args = Args::parse();
     let ds = load_dataset(&args);
-
-    let variants: PredictorZoo = vec![
-        ("1-MA", || Box::new(MovingAverage::new(1)) as _),
-        ("5-MA", || Box::new(MovingAverage::new(5)) as _),
-        ("10-MA", || Box::new(MovingAverage::new(10)) as _),
-        ("20-MA", || Box::new(MovingAverage::new(20)) as _),
-        ("5-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(5))) as _
-        }),
-        ("10-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(10))) as _
-        }),
-        ("20-MA-LSO", || {
-            Box::new(Lso::new(MovingAverage::new(20))) as _
-        }),
-    ];
+    let cfg = fb_config(&args.preset);
 
     println!("# fig16: CDF over traces of per-trace RMSRE, MA predictors +/- LSO");
-    for (name, make) in variants {
-        let rmsres = rmsre_per_trace(&ds, make);
+    for name in VARIANTS {
+        let rmsres = rmsre_per_trace(&ds, || {
+            predictor_by_name(name, &cfg).expect("catalog entry")
+        });
         let cdf = require_cdf(name, rmsres.iter().copied());
         print!("{}", render::cdf_series(name, &cdf, 50));
         println!(

@@ -10,10 +10,12 @@
 //! Paper finding: paths genuinely differ in predictability; HW-LSO is
 //! almost always the best of the four.
 
-use tputpred_bench::{load_dataset, trace_rmsre, Args, PredictorZoo};
-use tputpred_core::hb::{HoltWinters, MovingAverage};
-use tputpred_core::lso::Lso;
+use tputpred_bench::{fb_config, load_dataset, trace_rmsre, Args};
+use tputpred_core::catalog::predictor_by_name;
 use tputpred_stats::{render, Summary};
+
+/// The line-up, by predictor-catalog name; the last one classifies.
+const LINE_UP: [&str; 4] = ["1-MA", "10-MA", "0.8-HW", "0.8-HW-LSO"];
 
 fn classify(rmsres: &[f64]) -> &'static str {
     let s = Summary::from_samples(rmsres.iter().copied());
@@ -31,32 +33,23 @@ fn main() {
     let args = Args::parse();
     let ds = load_dataset(&args);
 
-    let zoo: PredictorZoo = vec![
-        ("1-MA", || Box::new(MovingAverage::new(1)) as _),
-        ("10-MA", || Box::new(MovingAverage::new(10)) as _),
-        ("0.8-HW", || Box::new(HoltWinters::new(0.8, 0.2)) as _),
-        ("0.8-HW-LSO", || {
-            Box::new(Lso::new(HoltWinters::new(0.8, 0.2))) as _
-        }),
-    ];
+    let cfg = fb_config(&args.preset);
+    let make = |name: &str| predictor_by_name(name, &cfg).expect("catalog entry");
 
     println!("# fig21: per-path per-trace RMSRE for four predictors, with path class");
-    let mut table = render::Table::new([
-        "path",
-        "trace",
-        "1-MA",
-        "10-MA",
-        "0.8-HW",
-        "0.8-HW-LSO",
-        "class",
-    ]);
+    let mut table = render::Table::new(
+        ["path", "trace"]
+            .into_iter()
+            .chain(LINE_UP)
+            .chain(["class"]),
+    );
     let mut class_counts = std::collections::BTreeMap::new();
     for p in &ds.paths {
         // Class from the headline predictor (HW-LSO) across traces.
         let hw_lso_rmsres: Vec<f64> = p
             .traces
             .iter()
-            .filter_map(|t| trace_rmsre(zoo[3].1, &t.throughput_series()))
+            .filter_map(|t| trace_rmsre(|| make(LINE_UP[3]), &t.throughput_series()))
             .collect();
         if hw_lso_rmsres.is_empty() {
             continue;
@@ -66,8 +59,8 @@ fn main() {
         for (ti, t) in p.traces.iter().enumerate() {
             let series = t.throughput_series();
             let mut row = vec![p.config.name.clone(), ti.to_string()];
-            for (_, make) in &zoo {
-                row.push(trace_rmsre(*make, &series).map_or("n/a".into(), render::f));
+            for name in LINE_UP {
+                row.push(trace_rmsre(|| make(name), &series).map_or("n/a".into(), render::f));
             }
             row.push(class.to_string());
             table.row(row);

@@ -36,7 +36,7 @@ use tputpred_core::catalog::predictor_catalog;
 use tputpred_core::metrics::{evaluate_epochs, rmsre};
 use tputpred_stats::render;
 use tputpred_testbed::{
-    draw_regimes, generate_each, trace_seed, FaultConfig, OutageRegime, Preset, RegimeConfig,
+    draw_regimes, generate, trace_seed, FaultConfig, OutageRegime, Preset, RegimeConfig,
 };
 
 /// Regime columns of the table: the pooled "all" plus one per state.
@@ -78,12 +78,12 @@ fn main() {
     let cfg = fb_config(&preset);
     let catalog = predictor_catalog();
 
-    // The campaign streams (DESIGN.md §15): each path is simulated,
-    // evaluated, and dropped, so a synth-scale preset never holds more
-    // than one fan-out chunk of traces in memory.
+    // The campaign is capped at 8 paths x 1 trace, so it is generated
+    // whole and uncached; only the evaluation runs under profiling.
+    let ds = generate(&preset);
     let mut cells: BTreeMap<(usize, usize), Cell> = BTreeMap::new();
     let ((), report) = tputpred_obs::with_profiling(|| {
-        generate_each(&preset, |_, path| {
+        for path in &ds.paths {
             for (t_idx, trace) in path.traces.iter().enumerate() {
                 let epochs = epoch_observations(trace);
                 let regimes = draw_regimes(
@@ -113,7 +113,7 @@ fn main() {
                     }
                 }
             }
-        });
+        }
     });
 
     println!(

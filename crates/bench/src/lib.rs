@@ -8,8 +8,8 @@
 //! * [`cli`] — the tiny `--preset <name> --data <dir>` argument parser
 //!   every figure binary uses;
 //! * [`analysis`] — applying the FB predictor (Eq. 3) to epoch records,
-//!   the standard HB predictor zoo (`1-MA`, `10-MA`, EWMA, HW, each with
-//!   and without LSO), per-trace RMSRE evaluation, and dataset caching;
+//!   per-trace RMSRE evaluation of HB predictors (named from
+//!   `tputpred_core::catalog`), and dataset caching;
 //! * [`profile`] — telemetry-enabled generation (`--profile` /
 //!   `perf_report`) and the `BENCH_gen_<preset>.json` perf report.
 //!

@@ -88,7 +88,7 @@ pub use gated::RttCvGated;
 pub use hb::{ArPredictor, Ewma, HoltWinters, MovingAverage};
 pub use hybrid::HybridPredictor;
 pub use lso::{Detector, DetectorEvent, Lso, LsoConfig};
-pub use metrics::{evaluate_gappy, relative_error, rmsre, segmented_cov};
+pub use metrics::{relative_error, rmsre, segmented_cov};
 pub use predictor::{EpochFeatures, EpochObservation, Predictor, Update};
 pub use regression::RegressionPredictor;
 pub use resilience::{

@@ -124,53 +124,18 @@ impl EvalResult {
 /// observation is fed to the predictor. This is exactly the paper's HB
 /// evaluation protocol: predictions use only *past* transfers.
 ///
+/// A thin adapter over [`evaluate_epochs`]: each sample becomes a
+/// featureless [`EpochObservation::sample`], whose forecast is
+/// [`Predictor::forecast`] and whose observation is
+/// [`Predictor::update`].
+///
 /// Throughput values are floored at [`MIN_THROUGHPUT`] for scoring.
 pub fn evaluate<P: Predictor>(predictor: &mut P, series: &[f64]) -> EvalResult {
-    let dense: Vec<Option<f64>> = series.iter().copied().map(Some).collect();
-    evaluate_gappy(predictor, &dense)
-}
-
-/// [`evaluate`] over a series with *gaps*: a `None` is an epoch whose
-/// transfer failed or went unmeasured (node down, aborted run). This is
-/// the HB degradation rule for faulty histories — a gap is simply
-/// **skipped**: the predictor neither observes it nor resets, so a gap can
-/// never masquerade as a level shift or an outlier. The paper's authors do
-/// the same by silently discarding failed epochs from their RON traces.
-///
-/// `errors`/`predictions` keep one slot per input sample (gaps score
-/// `None`), and `outliers`/`level_shifts` positions are mapped back to
-/// indices into the *gappy* input series, so an evaluation over a gappy
-/// series is position-compatible with the series it came from.
-pub fn evaluate_gappy<P: Predictor>(predictor: &mut P, series: &[Option<f64>]) -> EvalResult {
-    let mut result = EvalResult::default();
-    // Positions in the predictor's fed (gap-free) stream → positions in
-    // `series`; predictor-reported events use the former.
-    let mut fed_to_orig: Vec<usize> = Vec::new();
-    let mut outliers_fed: Vec<usize> = Vec::new();
-    let mut shifts_fed: Vec<usize> = Vec::new();
-    for (i, &sample) in series.iter().enumerate() {
-        let Some(x) = sample else {
-            result.predictions.push(None);
-            result.errors.push(None);
-            continue;
-        };
-        let forecast = predictor.forecast();
-        result.predictions.push(forecast);
-        result
-            .errors
-            .push(forecast.map(|f| relative_error_floored(f, x)));
-        fed_to_orig.push(i);
-        match predictor.update(x) {
-            Update::Accepted | Update::Skipped => {}
-            Update::OutliersDiscarded { positions, .. } => outliers_fed.extend(positions),
-            Update::LevelShift { start, .. } => shifts_fed.push(start),
-        }
-        debug_assert!(i + 1 == result.errors.len());
-    }
-    let remap = |fed: usize| fed_to_orig.get(fed).copied().unwrap_or(fed);
-    result.outliers = outliers_fed.into_iter().map(remap).collect();
-    result.level_shifts = shifts_fed.into_iter().map(remap).collect();
-    result
+    let epochs: Vec<EpochObservation> = series
+        .iter()
+        .map(|&x| EpochObservation::sample(x))
+        .collect();
+    evaluate_epochs(predictor, &epochs)
 }
 
 /// Runs `predictor` over full [`EpochObservation`]s one-step-ahead —
@@ -180,17 +145,20 @@ pub fn evaluate_gappy<P: Predictor>(predictor: &mut P, series: &[Option<f64>]) -
 /// forecast is scored against the measured throughput (Eq. 4), and then
 /// the whole epoch is observed.
 ///
-/// Unlike [`evaluate_gappy`], the predictor *is* consulted and fed on
-/// every epoch — a feature-only epoch lets formula-backed predictors
-/// forecast and smooth even when the transfer failed, while series-only
-/// predictors treat it as a no-op ([`Update::Skipped`]). An error is
-/// recorded only where both a forecast and a measured throughput exist;
-/// event positions are mapped to epoch indices as in [`evaluate_gappy`]
-/// (history-side events index throughput-carrying epochs).
+/// The predictor is consulted and fed on every epoch — a feature-only
+/// epoch lets formula-backed predictors forecast and smooth even when
+/// the transfer failed, while series-only predictors treat it as a
+/// no-op ([`Update::Skipped`]): a gap is skipped, never misread as a
+/// level shift or an outlier (the HB degradation rule of DESIGN.md
+/// §10). `errors`/`predictions` keep one slot per epoch; an error is
+/// recorded only where both a forecast and a measured throughput
+/// exist, and history-side event positions (which count ingested
+/// throughput samples) are mapped back to epoch indices.
 ///
-/// For series-only predictors this coincides exactly with
-/// [`evaluate_gappy`] over the throughput series; for FB it reproduces
-/// the paper's a-priori FB protocol (§4.1).
+/// For series-only predictors this equals [`evaluate`] over the
+/// trace's gap-free throughput series, bit for bit, apart from those
+/// positions (pinned per family by `core/tests/family_gap_tolerance.rs`);
+/// for FB it reproduces the paper's a-priori FB protocol (§4.1).
 pub fn evaluate_epochs<P: Predictor>(predictor: &mut P, epochs: &[EpochObservation]) -> EvalResult {
     let mut result = EvalResult::default();
     // History-side event positions count ingested throughput samples;
@@ -369,45 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_gappy_skips_gaps_without_resetting() {
-        // 1-MA predicts the previous *observed* sample across a gap.
-        let mut p = MovingAverage::new(1);
-        let res = evaluate_gappy(&mut p, &[Some(10.0), None, Some(10.0)]);
-        assert_eq!(res.errors[0], None);
-        assert_eq!(res.errors[1], None, "gap epochs score nothing");
-        assert_eq!(res.errors[2], Some(0.0), "history survives the gap");
-        assert_eq!(res.predicted_count(), 1);
-    }
-
-    #[test]
-    fn evaluate_gappy_event_positions_index_the_gappy_series() {
-        // Same shape as `evaluate_collects_lso_events` (outlier at dense
-        // position 8), but with two gaps punched in before the spike: the
-        // reported outlier position must be the gappy index, 10.
-        let mut series: Vec<Option<f64>> = vec![Some(10.0), None, Some(10.0), None];
-        series.extend(vec![Some(10.0); 6]);
-        series.push(Some(100.0));
-        series.extend(vec![Some(10.0); 3]);
-        let mut p = Lso::new(MovingAverage::new(10));
-        let res = evaluate_gappy(&mut p, &series);
-        assert_eq!(res.outliers, vec![10]);
-    }
-
-    #[test]
-    fn evaluate_gappy_on_dense_series_matches_evaluate() {
-        let series: Vec<f64> = [vec![10.0; 8], vec![100.0], vec![10.0; 3]].concat();
-        let gappy: Vec<Option<f64>> = series.iter().copied().map(Some).collect();
-        let mut a = Lso::new(MovingAverage::new(10));
-        let mut b = Lso::new(MovingAverage::new(10));
-        let ra = evaluate(&mut a, &series);
-        let rb = evaluate_gappy(&mut b, &gappy);
-        assert_eq!(ra.errors, rb.errors);
-        assert_eq!(ra.predictions, rb.predictions);
-        assert_eq!(ra.outliers, rb.outliers);
-        assert_eq!(ra.level_shifts, rb.level_shifts);
-    }
-
-    #[test]
     fn downsample_keeps_every_kth() {
         let xs: Vec<f64> = (0..10).map(f64::from).collect();
         assert_eq!(downsample(&xs, 1), xs);
@@ -455,23 +384,6 @@ mod tests {
             .collect();
         let seg = segmented_cov(&series, LsoConfig::default()).unwrap();
         assert!((seg - 0.1).abs() < 0.02, "got {seg}");
-    }
-
-    #[test]
-    fn evaluate_epochs_matches_evaluate_for_series_predictors() {
-        let series: Vec<f64> = [vec![10.0; 8], vec![100.0], vec![10.0; 3]].concat();
-        let epochs: Vec<EpochObservation> = series
-            .iter()
-            .map(|&x| EpochObservation::sample(x))
-            .collect();
-        let mut a = Lso::new(MovingAverage::new(10));
-        let mut b = Lso::new(MovingAverage::new(10));
-        let ra = evaluate(&mut a, &series);
-        let rb = evaluate_epochs(&mut b, &epochs);
-        assert_eq!(ra.errors, rb.errors);
-        assert_eq!(ra.predictions, rb.predictions);
-        assert_eq!(ra.outliers, rb.outliers);
-        assert_eq!(ra.level_shifts, rb.level_shifts);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! no-op: the predictor must neither learn nor reset, and reports
 //! [`Update::Skipped`]. This makes every predictor safe to drive over
 //! faulty histories — a gap can never masquerade as a level shift or an
-//! outlier — and is property-tested (`core/tests/gap_tolerance.rs` and
-//! `core/tests/family_gap_tolerance.rs`): evaluating over a gappy
+//! outlier — and is property-tested for every catalog family
+//! (`core/tests/family_gap_tolerance.rs`): evaluating over a gappy
 //! stream must equal evaluating over the same stream with the gaps
 //! removed, bit for bit.
 
@@ -50,7 +50,7 @@ pub struct EpochFeatures {
 
 impl EpochFeatures {
     /// The featureless epoch: every field missing. The forecast input
-    /// for pure series protocols ([`crate::metrics::evaluate_gappy`]).
+    /// for pure series protocols ([`crate::metrics::evaluate`]).
     pub const NONE: EpochFeatures = EpochFeatures {
         probes: PartialEstimates {
             rtt: None,

@@ -1,21 +1,15 @@
 //! The dataset model: what one epoch measures and how datasets persist.
 //!
-//! Persistence carries a staleness guard: [`Dataset::save`] embeds the
-//! [`BEHAVIOR_HASH`] of the simulation source trees (netsim, tcp,
-//! probes, testbed) alongside the data, and
-//! [`Dataset::load_or_generate`] regenerates the cache whenever the
-//! embedded hash differs from the one compiled into the running binary.
-//! A cached dataset is a pure function of (preset, seed, simulator
-//! code); the hash makes the third input explicit.
-//!
-//! The production cache is **sharded per path** (DESIGN.md §9): one
+//! The cache is **sharded per path** (DESIGN.md §9): one
 //! `path-<id>.json` per catalog path under `data/<preset>/`, plus a
-//! `manifest.json`. Each shard embeds the behavior hash *and* a
+//! `manifest.json`. Each shard embeds the [`BEHAVIOR_HASH`] of the
+//! simulation source trees (netsim, tcp, probes, testbed) *and* a
 //! fingerprint of (preset, path config), so
-//! [`Dataset::load_or_generate_sharded`] can reuse every shard the
-//! running binary still trusts and regenerate only the stale, missing,
-//! or corrupt ones — the merged dataset is bit-identical to a
-//! from-scratch generation (pinned by
+//! [`Dataset::for_each_path_sharded`] reuses every shard the running
+//! binary still trusts and regenerates only the stale, missing, or
+//! corrupt ones. A cached dataset is a pure function of (preset, seed,
+//! simulator code); the hash makes the third input explicit, and the
+//! walked data is bit-identical to a from-scratch generation (pinned by
 //! `crates/testbed/tests/shard_pin.rs`).
 
 use crate::path::PathConfig;
@@ -30,16 +24,6 @@ use tputpred_obs as obs;
 /// Digest of the simulation source trees this binary was compiled
 /// from, computed by `build.rs` (see `behavior_hash`).
 pub const BEHAVIOR_HASH: &str = env!("TPUTPRED_BEHAVIOR_HASH");
-
-/// The on-disk envelope: the dataset plus the behavior hash of the
-/// code that generated it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DatasetFile {
-    /// [`BEHAVIOR_HASH`] at generation time.
-    behavior_hash: String,
-    /// The payload.
-    dataset: Dataset,
-}
 
 /// How much of an epoch's measurement schedule actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -214,18 +198,11 @@ impl TraceData {
     /// not zero-filled: this is the HB degradation rule — a predictor
     /// simply never sees the gap, so it cannot misread one as a level
     /// shift (the paper's authors likewise drop failed epochs from their
-    /// RON traces). Use [`TraceData::throughput_series_gappy`] when gap
-    /// positions matter.
+    /// RON traces). Evaluate over the trace's epoch observations instead
+    /// (`tputpred_core::metrics::evaluate_epochs`) when reported
+    /// positions must index the epoch timeline.
     pub fn throughput_series(&self) -> Vec<f64> {
         self.records.iter().filter_map(|r| r.r_large).collect()
-    }
-
-    /// The large-window series with gaps preserved: one slot per epoch,
-    /// `None` where the transfer failed or the epoch is missing. Feed
-    /// this to `tputpred_core::metrics::evaluate_gappy` when reported
-    /// positions must index the epoch timeline.
-    pub fn throughput_series_gappy(&self) -> Vec<Option<f64>> {
-        self.records.iter().map(|r| r.r_large).collect()
     }
 
     /// The window-limited throughput series (gaps skipped), or `None`
@@ -287,199 +264,19 @@ impl Dataset {
             .count()
     }
 
-    /// Serializes the dataset as JSON to `path`, embedding the current
-    /// [`BEHAVIOR_HASH`].
-    pub fn save(&self, path: &FsPath) -> io::Result<()> {
-        self.save_with_hash(path, BEHAVIOR_HASH)
-    }
-
-    /// [`Dataset::save`] with an explicit hash. Exists so tests can
-    /// fabricate stale cache files; everything else wants `save`.
+    /// The shard cache's one walk: classify every shard, regenerate
+    /// the untrusted ones, then hand each path's data to `visit` in
+    /// catalog order. No merged `Dataset` is ever materialized — each
+    /// payload is dropped before the next shard loads, so a
+    /// 10 000-path preset costs O(one path) resident memory (DESIGN.md
+    /// §15).
     ///
-    /// Writes are atomic: the JSON goes to a temp file in the same
-    /// directory, then renames into place, so a figure run interrupted
-    /// mid-save can never leave a truncated cache behind for the next
-    /// run to trip over.
-    #[doc(hidden)]
-    pub fn save_with_hash(&self, path: &FsPath, behavior_hash: &str) -> io::Result<()> {
-        let file = DatasetFile {
-            behavior_hash: behavior_hash.to_string(),
-            dataset: self.clone(),
-        };
-        let json = serde_json::to_string(&file).map_err(io::Error::other)?;
-        write_atomic(path, &json)
-    }
-
-    /// Loads a dataset saved by [`Dataset::save`], regardless of the
-    /// behavior hash it was generated under. Use
-    /// [`Dataset::load_or_generate`] when staleness matters.
-    pub fn load(path: &FsPath) -> io::Result<Self> {
-        Ok(Self::load_with_hash(path)?.1)
-    }
-
-    /// Loads `(embedded behavior hash, dataset)`.
-    fn load_with_hash(path: &FsPath) -> io::Result<(String, Self)> {
-        let json = fs::read_to_string(path)?;
-        let file: DatasetFile = serde_json::from_str(&json).map_err(io::Error::other)?;
-        Ok((file.behavior_hash, file.dataset))
-    }
-
-    /// Loads the dataset at `path` if it is present *and* was generated
-    /// by the same simulation code as this binary (matching behavior
-    /// hash); otherwise generates it with `generate` and saves it
-    /// there. Missing files, caches from a different source tree, and
-    /// unparseable files (e.g. the pre-hash format) all regenerate —
-    /// the cache can be wrong only by being slow, never by being stale.
-    pub fn load_or_generate<F: FnOnce() -> Dataset>(
-        path: &FsPath,
-        generate: F,
-    ) -> io::Result<Self> {
-        // A crash between the atomic save's write and rename leaks a
-        // `.{name}.tmp.{pid}` file; load is the natural sweep point.
-        if let Some(dir) = path.parent() {
-            sweep_stale_temps(dir);
-        }
-        match Self::load_with_hash(path) {
-            Ok((hash, ds)) if hash == BEHAVIOR_HASH => return Ok(ds),
-            Ok((hash, _)) => {
-                eprintln!(
-                    "dataset {}: behavior hash {} != current {}; simulation code \
-                     changed — regenerating",
-                    path.display(),
-                    hash,
-                    BEHAVIOR_HASH
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => {
-                eprintln!(
-                    "dataset {}: unreadable cache ({e}); regenerating",
-                    path.display()
-                );
-            }
-        }
-        let ds = generate();
-        ds.save(path)?;
-        Ok(ds)
-    }
-
-    /// Shard-aware cache: loads `data/<preset>/path-<id>.json` shards,
-    /// regenerates only the stale, missing, or corrupt ones through
-    /// `regenerate`, and merges everything in catalog order. A shard is
-    /// reused only when its embedded [`BEHAVIOR_HASH`] matches this
-    /// binary *and* its config fingerprint matches
-    /// [`shard_fingerprint`] of the current (preset, path config) —
-    /// so simulation-code edits invalidate every shard (the behavior
-    /// hash covers the whole source tree) while preset or catalog
-    /// changes and cache damage invalidate only the affected shards.
-    ///
-    /// `regenerate` receives the catalog indices of the shards to
-    /// rebuild (ascending) and must return one [`PathData`] per index,
-    /// in that order. The merged dataset is bit-identical to a
-    /// from-scratch generation; `crates/testbed/tests/shard_pin.rs`
-    /// pins this.
-    ///
-    /// Housekeeping on every load: orphaned atomic-write temp files are
-    /// swept, shards beyond the catalog (a shrunk preset) are removed,
-    /// the manifest is rewritten when out of date, and a legacy
-    /// monolithic `<dir>.json` cache — fully superseded, never trusted
-    /// — is deleted once the sharded cache is in place.
-    pub fn load_or_generate_sharded<F>(
-        dir: &FsPath,
-        preset: &Preset,
-        catalog: &[PathConfig],
-        regenerate: F,
-    ) -> io::Result<(Self, ShardStats)>
-    where
-        F: FnOnce(&[usize]) -> Vec<PathData>,
-    {
-        fs::create_dir_all(dir)?;
-        sweep_stale_temps(dir);
-        remove_orphan_shards(dir, catalog.len());
-
-        let mut stats = ShardStats::default();
-        let mut slots: Vec<Option<PathData>> = Vec::with_capacity(catalog.len());
-        for (id, config) in catalog.iter().enumerate() {
-            let shard_path = dir.join(shard_file_name(id));
-            let expected = shard_fingerprint(preset, config);
-            match load_shard(&shard_path) {
-                Ok(shard) if shard_trusted(&shard, &expected) => {
-                    stats.hits += 1;
-                    slots.push(Some(shard.path));
-                }
-                Ok(_) => {
-                    // Present but generated by different simulation
-                    // code or a different (preset, config).
-                    stats.stale += 1;
-                    slots.push(None);
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    stats.missing += 1;
-                    slots.push(None);
-                }
-                Err(_) => {
-                    // Unparseable or truncated: same as stale.
-                    stats.stale += 1;
-                    slots.push(None);
-                }
-            }
-        }
-
-        let stale_ids: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, s)| s.is_none().then_some(id))
-            .collect();
-        if !stale_ids.is_empty() {
-            eprintln!(
-                "# dataset '{}': {} shard(s) reused, regenerating {} \
-                 ({} missing, {} stale) -> {}",
-                preset.name,
-                stats.hits,
-                stale_ids.len(),
-                stats.missing,
-                stats.stale,
-                dir.display()
-            );
-            let fresh = regenerate(&stale_ids);
-            if fresh.len() != stale_ids.len() {
-                return Err(io::Error::other(format!(
-                    "shard regeneration returned {} paths for {} stale shards",
-                    fresh.len(),
-                    stale_ids.len()
-                )));
-            }
-            for (&id, data) in stale_ids.iter().zip(fresh) {
-                save_shard(dir, id, preset, &data)?;
-                slots[id] = Some(data);
-            }
-        }
-        write_manifest_if_changed(dir, preset, catalog)?;
-
-        let paths: Vec<PathData> = slots.into_iter().flatten().collect();
-        if paths.len() != catalog.len() {
-            return Err(io::Error::other(
-                "sharded load assembled fewer paths than the catalog",
-            ));
-        }
-
-        remove_legacy_monolith(dir, preset);
-
-        Ok((
-            Dataset {
-                preset: preset.clone(),
-                paths,
-            },
-            stats,
-        ))
-    }
-
-    /// Streaming counterpart of [`Dataset::load_or_generate_sharded`]:
-    /// the same classify → regenerate → reuse cycle, but no merged
-    /// `Dataset` is ever materialized — `visit` sees each path's data
-    /// in catalog order and the payload is dropped before the next one
-    /// loads, so a 10 000-path preset costs O(one path) resident memory
-    /// (DESIGN.md §15).
+    /// A shard is trusted only when its embedded [`BEHAVIOR_HASH`]
+    /// matches this binary *and* its config fingerprint matches
+    /// [`shard_fingerprint`] of the current (preset, path config) — so
+    /// simulation-code edits invalidate every shard (the behavior hash
+    /// covers the whole source tree) while preset or catalog changes
+    /// and cache damage invalidate only the affected shards.
     ///
     /// `regenerate_one` rebuilds a single untrusted path; the stale set
     /// fans out across [`rayon::current_num_threads`] workers, each
@@ -492,9 +289,14 @@ impl Dataset {
     ///
     /// Trusted shards are parsed twice (once to classify, once to
     /// visit): the price of not holding n payloads, and far cheaper
-    /// than regenerating. Housekeeping matches the batch API: temp
-    /// sweep, orphan removal, manifest refresh, legacy-monolith
-    /// removal.
+    /// than regenerating. The visit pass re-checks trust against the
+    /// fingerprints of the classify pass, so a shard replaced or
+    /// damaged in between is regenerated, saved, and counted as stale —
+    /// never visited unverified, never an aborted walk.
+    ///
+    /// Housekeeping on every walk: orphaned atomic-write temp files are
+    /// swept, shards beyond the catalog (a shrunk preset) are removed,
+    /// and the manifest is rewritten when out of date.
     pub fn for_each_path_sharded<G, V>(
         dir: &FsPath,
         preset: &Preset,
@@ -510,21 +312,22 @@ impl Dataset {
         sweep_stale_temps(dir);
         remove_orphan_shards(dir, catalog.len());
 
+        let fingerprints: Vec<String> = catalog
+            .iter()
+            .map(|config| shard_fingerprint(preset, config))
+            .collect();
         let mut stats = ShardStats::default();
         let mut stale_ids: Vec<usize> = Vec::new();
-        for (id, config) in catalog.iter().enumerate() {
-            let expected = shard_fingerprint(preset, config);
+        for (id, expected) in fingerprints.iter().enumerate() {
             match load_shard(&dir.join(shard_file_name(id))) {
-                Ok(shard) if shard_trusted(&shard, &expected) => stats.hits += 1,
-                Ok(_) => {
-                    stats.stale += 1;
-                    stale_ids.push(id);
-                }
+                Ok(shard) if shard_trusted(&shard, expected) => stats.hits += 1,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     stats.missing += 1;
                     stale_ids.push(id);
                 }
-                Err(_) => {
+                // Unparseable or truncated, or generated by different
+                // simulation code or a different (preset, config).
+                _ => {
                     stats.stale += 1;
                     stale_ids.push(id);
                 }
@@ -560,12 +363,27 @@ impl Dataset {
             gen_scope.stop();
             outcomes.into_iter().collect::<io::Result<()>>()?;
         }
-        write_manifest_if_changed(dir, preset, catalog)?;
-        remove_legacy_monolith(dir, preset);
+        write_manifest_if_changed(dir, preset, &fingerprints)?;
 
-        for id in 0..catalog.len() {
-            let shard = load_shard(&dir.join(shard_file_name(id)))?;
-            visit(id, &shard.path)?;
+        for (id, expected) in fingerprints.iter().enumerate() {
+            let path = match load_shard(&dir.join(shard_file_name(id))) {
+                Ok(shard) if shard_trusted(&shard, expected) => shard.path,
+                _ => {
+                    eprintln!(
+                        "# dataset '{}': shard {id} changed after classification; \
+                         regenerating",
+                        preset.name
+                    );
+                    if stale_ids.binary_search(&id).is_err() {
+                        stats.hits -= 1;
+                        stats.stale += 1;
+                    }
+                    let fresh = regenerate_one(id);
+                    save_shard(dir, id, preset, &fresh)?;
+                    fresh
+                }
+            };
+            visit(id, &path)?;
         }
         Ok(stats)
     }
@@ -581,8 +399,8 @@ pub fn shard_file_name(id: usize) -> String {
     format!("path-{id}.json")
 }
 
-/// Per-shard outcome counts of one [`Dataset::load_or_generate_sharded`]
-/// call: how much of the cache was reusable and why the rest was not.
+/// Per-shard outcome counts of one [`Dataset::for_each_path_sharded`]
+/// walk: how much of the cache was reusable and why the rest was not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shards loaded from disk (behavior hash and fingerprint matched).
@@ -590,7 +408,8 @@ pub struct ShardStats {
     /// Shards with no file on disk.
     pub missing: usize,
     /// Shards present but untrusted: behavior-hash or fingerprint
-    /// mismatch, or unparseable JSON.
+    /// mismatch, or unparseable JSON — at classification or, for a
+    /// shard replaced in between, at visit time.
     pub stale: usize,
 }
 
@@ -683,21 +502,6 @@ fn load_shard(path: &FsPath) -> io::Result<ShardFile> {
     serde_json::from_str(&json).map_err(io::Error::other)
 }
 
-/// Removes a monolithic `<dir>.json` cache predating the shard format.
-/// It is treated as fully stale — its contents are never consulted —
-/// and dropped once the sharded cache is in place.
-fn remove_legacy_monolith(dir: &FsPath, preset: &Preset) {
-    let legacy = dir.with_extension("json");
-    if legacy.is_file() {
-        eprintln!(
-            "# dataset '{}': removing legacy monolithic cache {}",
-            preset.name,
-            legacy.display()
-        );
-        let _ = fs::remove_file(&legacy);
-    }
-}
-
 /// Saves one shard atomically, embedding the current behavior hash and
 /// the (preset, config) fingerprint.
 fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::Result<()> {
@@ -716,18 +520,18 @@ fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::
 fn write_manifest_if_changed(
     dir: &FsPath,
     preset: &Preset,
-    catalog: &[PathConfig],
+    fingerprints: &[String],
 ) -> io::Result<()> {
     let manifest = Manifest {
         behavior_hash: BEHAVIOR_HASH.to_string(),
         preset: preset.clone(),
-        shards: catalog
+        shards: fingerprints
             .iter()
             .enumerate()
-            .map(|(id, config)| ManifestEntry {
+            .map(|(id, fingerprint)| ManifestEntry {
                 id,
                 file: shard_file_name(id),
-                config_fingerprint: shard_fingerprint(preset, config),
+                config_fingerprint: fingerprint.clone(),
             })
             .collect(),
     };
@@ -918,15 +722,11 @@ mod tests {
     }
 
     #[test]
-    fn gappy_series_keeps_positions_dense_series_skips() {
+    fn throughput_series_skips_gaps() {
         let trace = TraceData {
             records: vec![record(1e6), missing_record(), record(3e6)],
         };
         assert_eq!(trace.throughput_series(), vec![1e6, 3e6]);
-        assert_eq!(
-            trace.throughput_series_gappy(),
-            vec![Some(1e6), None, Some(3e6)]
-        );
         assert_eq!(trace.small_window_series(), Some(vec![0.25e6, 0.75e6]));
     }
 
@@ -974,159 +774,17 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join("tputpred-test-data");
-        let file = dir.join("ds.json");
-        let ds = dataset();
-        ds.save(&file).unwrap();
-        let loaded = Dataset::load(&file).unwrap();
-        assert_eq!(ds, loaded);
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn load_or_generate_generates_once() {
-        let dir = std::env::temp_dir().join("tputpred-test-data2");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&file);
-        let mut calls = 0;
-        let ds = Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1);
-        let again = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert_eq!(ds, again);
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn stale_behavior_hash_triggers_regeneration() {
-        let dir = std::env::temp_dir().join("tputpred-test-data3");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&file);
-        // A cache written by "different simulation code": same payload,
-        // different hash.
-        dataset().save_with_hash(&file, "0123456789abcdef").unwrap();
-        let mut calls = 0;
-        let ds = Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1, "stale cache must regenerate");
-        // The rewritten cache carries the current hash: hit next time.
-        let again = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert_eq!(ds, again);
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn unparseable_cache_triggers_regeneration() {
-        let dir = std::env::temp_dir().join("tputpred-test-data4");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // The pre-hash format: a bare Dataset with no envelope.
-        std::fs::write(&file, "{\"preset\": {}, \"paths\": []}").unwrap();
-        let mut calls = 0;
-        Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1, "legacy cache must regenerate");
-        std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn truncated_cache_triggers_regeneration() {
-        // A cache cut off mid-write (the pre-atomic-save hazard): the
-        // loader must treat it as stale, not return an error.
-        let dir = std::env::temp_dir().join("tputpred-test-data5");
-        let file = dir.join(format!("ds-{}.json", std::process::id()));
-        let valid_file = dir.join(format!("full-{}.json", std::process::id()));
-        dataset().save(&valid_file).unwrap();
-        let full = std::fs::read_to_string(&valid_file).unwrap();
-        std::fs::write(&file, &full[..full.len() / 2]).unwrap();
-        let mut calls = 0;
-        let ds = Dataset::load_or_generate(&file, || {
-            calls += 1;
-            dataset()
-        })
-        .unwrap();
-        assert_eq!(calls, 1, "truncated cache must regenerate");
-        assert_eq!(ds, dataset());
-        std::fs::remove_file(&file).unwrap();
-        std::fs::remove_file(&valid_file).unwrap();
-    }
-
-    #[test]
-    fn save_leaves_no_temp_files_behind() {
-        let dir = std::env::temp_dir().join(format!("tputpred-test-data6-{}", std::process::id()));
-        let file = dir.join("ds.json");
-        dataset().save(&file).unwrap();
-        let entries: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(entries, vec!["ds.json"], "only the renamed cache remains");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn behavior_hash_is_a_hex_digest() {
         assert_eq!(BEHAVIOR_HASH.len(), 16);
         assert!(BEHAVIOR_HASH.bytes().all(|b| b.is_ascii_hexdigit()));
     }
 
-    /// A unique scratch directory per test (tests share one process, so
+    /// A fresh scratch directory per test (tests share one process, so
     /// the pid alone does not discriminate).
     fn scratch(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("tputpred-{}-{}", tag, std::process::id()))
-    }
-
-    #[test]
-    fn stale_temp_file_is_swept_on_load() {
-        let dir = scratch("temp-sweep");
+        let dir = std::env::temp_dir().join(format!("tputpred-{}-{}", tag, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("ds.json");
-        // Plant the crash leftover *before* the cache exists, then save:
-        // the temp's mtime is <= the cache's, exactly the state a crash
-        // between write and rename leaves after a later successful save.
-        let temp = dir.join(format!(".ds.json.tmp.{}", std::process::id() + 1));
-        std::fs::write(&temp, "{\"partial\":").unwrap();
-        dataset().save(&file).unwrap();
-        assert!(temp.is_file(), "precondition: leftover planted");
-        let loaded = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert_eq!(loaded, dataset());
-        assert!(!temp.exists(), "stale temp must be swept on load");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn temp_newer_than_cache_survives_the_sweep() {
-        let dir = scratch("temp-keep");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("ds.json");
-        dataset().save(&file).unwrap();
-        // Rewind the cache's mtime so the temp planted next is strictly
-        // newer — the signature of a concurrent writer's in-flight file.
-        let old = std::fs::FileTimes::new()
-            .set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(1));
-        std::fs::File::options()
-            .append(true)
-            .open(&file)
-            .unwrap()
-            .set_times(old)
-            .unwrap();
-        let temp = dir.join(format!(".ds.json.tmp.{}", std::process::id() + 1));
-        std::fs::write(&temp, "{\"in-flight\":").unwrap();
-        let _ = Dataset::load_or_generate(&file, || panic!("cached")).unwrap();
-        assert!(temp.is_file(), "an in-flight temp must not be swept");
-        std::fs::remove_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -1159,24 +817,63 @@ mod tests {
         }
     }
 
-    /// The canonical fake regeneration: path `i` gets throughput
-    /// `(i+1) MHz` so shards are distinguishable.
-    fn regen(catalog: &[PathConfig]) -> impl FnOnce(&[usize]) -> Vec<PathData> + '_ {
-        |ids| {
-            ids.iter()
-                .map(|&i| path_data(&catalog[i], (i as f64 + 1.0) * 1e6))
-                .collect()
-        }
+    /// The canonical fake regeneration: path `id` gets throughput
+    /// `(id+1) MHz` so shards are distinguishable.
+    fn fake_path(catalog: &[PathConfig], id: usize) -> PathData {
+        path_data(&catalog[id], (id as f64 + 1.0) * 1e6)
+    }
+
+    /// One walk over the shard cache at `dir` with [`fake_path`] as the
+    /// regeneration: the visited payloads (asserted to arrive in
+    /// catalog order), the ids `regenerate_one` was asked for
+    /// (ascending), and the stats.
+    fn walk(
+        dir: &FsPath,
+        preset: &Preset,
+        catalog: &[PathConfig],
+    ) -> (Vec<PathData>, Vec<usize>, ShardStats) {
+        let asked = std::sync::Mutex::new(Vec::new());
+        let mut visited = Vec::new();
+        let stats = Dataset::for_each_path_sharded(
+            dir,
+            preset,
+            catalog,
+            |id| {
+                asked.lock().unwrap().push(id);
+                fake_path(catalog, id)
+            },
+            |id, p| {
+                assert_eq!(id, visited.len(), "visits arrive in catalog order");
+                visited.push(p.clone());
+                Ok(())
+            },
+        )
+        .unwrap();
+        let mut asked = asked.into_inner().unwrap();
+        asked.sort_unstable();
+        let total = stats.hits + stats.missing + stats.stale;
+        assert_eq!(total, catalog.len(), "every shard counted once");
+        (visited, asked, stats)
+    }
+
+    /// Writes shard `id` the way [`save_shard`] does, but under a
+    /// foreign behavior hash: a shard left by other simulation code.
+    fn write_foreign_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) {
+        let shard = ShardFile {
+            behavior_hash: "0123456789abcdef".to_string(),
+            config_fingerprint: shard_fingerprint(preset, &data.config),
+            path: data.clone(),
+        };
+        let json = serde_json::to_string(&shard).unwrap();
+        std::fs::write(dir.join(shard_file_name(id)), json).unwrap();
     }
 
     #[test]
     fn sharded_cold_load_generates_then_warm_load_hits() {
         let dir = scratch("shard-cold");
-        let _ = std::fs::remove_dir_all(&dir);
         let preset = Preset::tiny();
         let catalog = shard_catalog();
-        let (ds, stats) =
-            Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        let (cold, asked, stats) = walk(&dir, &preset, &catalog);
         assert_eq!(
             stats,
             ShardStats {
@@ -1186,14 +883,16 @@ mod tests {
             }
         );
         assert_eq!(stats.regenerated(), 3);
-        assert_eq!(ds.paths.len(), 3);
+        assert_eq!(asked, vec![0, 1, 2]);
+        let expected: Vec<PathData> = (0..3).map(|id| fake_path(&catalog, id)).collect();
+        assert_eq!(cold, expected, "cold visits see the regenerated payloads");
         for id in 0..3 {
             assert!(dir.join(shard_file_name(id)).is_file());
         }
         assert!(dir.join(SHARD_MANIFEST).is_file());
-        let (warm, warm_stats) =
-            Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |_| panic!("cached"))
-                .unwrap();
+
+        let (warm, asked, warm_stats) = walk(&dir, &preset, &catalog);
+        assert!(asked.is_empty(), "warm walk must not regenerate");
         assert_eq!(
             warm_stats,
             ShardStats {
@@ -1202,27 +901,22 @@ mod tests {
                 stale: 0
             }
         );
-        assert_eq!(ds, warm, "warm load reassembles the identical dataset");
+        assert_eq!(warm, cold, "shards round-trip the payload exactly");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_shard_regenerates_only_itself() {
-        let dir = scratch("shard-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn stale_behavior_hash_triggers_regeneration() {
+        let dir = scratch("shard-hash");
         let preset = Preset::tiny();
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
-        std::fs::write(dir.join(shard_file_name(1)), "{\"trunc").unwrap();
-        let mut asked = Vec::new();
-        let (ds, stats) = Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |ids| {
-            asked = ids.to_vec();
-            ids.iter()
-                .map(|&i| path_data(&catalog[i], (i as f64 + 1.0) * 1e6))
-                .collect()
-        })
-        .unwrap();
-        assert_eq!(asked, vec![1], "only the damaged shard regenerates");
+        walk(&dir, &preset, &catalog);
+        // A shard written by "different simulation code": different
+        // hash, and a payload that must never be visited.
+        let foreign = path_data(&catalog[0], 99e6);
+        write_foreign_shard(&dir, 0, &preset, &foreign);
+        let (visited, asked, stats) = walk(&dir, &preset, &catalog);
+        assert_eq!(asked, vec![0], "stale shard must regenerate");
         assert_eq!(
             stats,
             ShardStats {
@@ -1231,20 +925,50 @@ mod tests {
                 stale: 1
             }
         );
-        assert_eq!(ds.paths.len(), 3);
+        assert_eq!(visited[0], fake_path(&catalog, 0));
+        // The rewritten shard carries the current hash: hit next time.
+        let (_, asked, _) = walk(&dir, &preset, &catalog);
+        assert!(asked.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_shard_regenerates_only_itself() {
+        let dir = scratch("shard-corrupt");
+        let preset = Preset::tiny();
+        let catalog = shard_catalog();
+        walk(&dir, &preset, &catalog);
+        let shard = dir.join(shard_file_name(1));
+        let valid = std::fs::read_to_string(&shard).unwrap();
+        let bare_payload = serde_json::to_string(&fake_path(&catalog, 1)).unwrap();
+        // Garbage, a shard cut off mid-write, and a payload with no
+        // envelope (no hash to trust): all stale, never an error.
+        for damaged in ["{\"trunc", &valid[..valid.len() / 2], &bare_payload] {
+            std::fs::write(&shard, damaged).unwrap();
+            let (visited, asked, stats) = walk(&dir, &preset, &catalog);
+            assert_eq!(asked, vec![1], "only the damaged shard regenerates");
+            assert_eq!(
+                stats,
+                ShardStats {
+                    hits: 2,
+                    missing: 0,
+                    stale: 1
+                }
+            );
+            assert_eq!(visited[1], fake_path(&catalog, 1));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn deleted_shard_counts_missing_and_regenerates() {
         let dir = scratch("shard-missing");
-        let _ = std::fs::remove_dir_all(&dir);
         let preset = Preset::tiny();
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        walk(&dir, &preset, &catalog);
         std::fs::remove_file(dir.join(shard_file_name(2))).unwrap();
-        let (_, stats) =
-            Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        let (_, asked, stats) = walk(&dir, &preset, &catalog);
+        assert_eq!(asked, vec![2]);
         assert_eq!(
             stats,
             ShardStats {
@@ -1259,19 +983,11 @@ mod tests {
     #[test]
     fn config_change_invalidates_only_that_shard() {
         let dir = scratch("shard-config");
-        let _ = std::fs::remove_dir_all(&dir);
         let preset = Preset::tiny();
         let mut catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        walk(&dir, &preset, &catalog);
         catalog[2].capacity_bps *= 2.0;
-        let mut asked = Vec::new();
-        let (_, stats) = Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |ids| {
-            asked = ids.to_vec();
-            ids.iter()
-                .map(|&i| path_data(&catalog[i], (i as f64 + 1.0) * 1e6))
-                .collect()
-        })
-        .unwrap();
+        let (_, asked, stats) = walk(&dir, &preset, &catalog);
         assert_eq!(asked, vec![2]);
         assert_eq!(
             stats,
@@ -1287,16 +1003,13 @@ mod tests {
     #[test]
     fn preset_change_invalidates_every_shard() {
         let dir = scratch("shard-preset");
-        let _ = std::fs::remove_dir_all(&dir);
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &Preset::tiny(), &catalog, regen(&catalog))
-            .unwrap();
+        walk(&dir, &Preset::tiny(), &catalog);
         let changed = Preset {
             seed: Preset::tiny().seed + 1,
             ..Preset::tiny()
         };
-        let (_, stats) =
-            Dataset::load_or_generate_sharded(&dir, &changed, &catalog, regen(&catalog)).unwrap();
+        let (_, _, stats) = walk(&dir, &changed, &catalog);
         assert_eq!(
             stats,
             ShardStats {
@@ -1311,34 +1024,136 @@ mod tests {
     #[test]
     fn orphan_shards_beyond_the_catalog_are_removed() {
         let dir = scratch("shard-orphan");
-        let _ = std::fs::remove_dir_all(&dir);
         let preset = Preset::tiny();
         let catalog = shard_catalog();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, regen(&catalog)).unwrap();
+        walk(&dir, &preset, &catalog);
         let orphan = dir.join(shard_file_name(7));
         std::fs::write(&orphan, "{}").unwrap();
-        Dataset::load_or_generate_sharded(&dir, &preset, &catalog, |_| panic!("cached")).unwrap();
+        let (_, asked, _) = walk(&dir, &preset, &catalog);
+        assert!(asked.is_empty());
         assert!(!orphan.exists(), "shards past the catalog must be removed");
         assert!(dir.join(shard_file_name(2)).is_file(), "live shards stay");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn legacy_monolithic_cache_is_removed_after_sharded_load() {
-        let base = scratch("shard-legacy");
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-        let dir = base.join("tiny");
-        let legacy = base.join("tiny.json");
-        dataset().save(&legacy).unwrap();
+    fn save_leaves_no_temp_files_behind() {
+        let dir = scratch("shard-temps");
+        walk(&dir, &Preset::tiny(), &shard_catalog());
+        let mut entries: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(
+            entries,
+            vec!["manifest.json", "path-0.json", "path-1.json", "path-2.json"],
+            "only the renamed shards and manifest remain"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_temp_file_is_swept_on_load() {
+        let dir = scratch("temp-sweep");
+        std::fs::create_dir_all(&dir).unwrap();
+        let preset = Preset::tiny();
         let catalog = shard_catalog();
-        let (ds, stats) =
-            Dataset::load_or_generate_sharded(&dir, &Preset::tiny(), &catalog, regen(&catalog))
-                .unwrap();
-        assert_eq!(stats.regenerated(), 3, "legacy cache is never consulted");
-        assert_eq!(ds.paths.len(), 3);
-        assert!(!legacy.exists(), "superseded monolith must be removed");
-        std::fs::remove_dir_all(&base).unwrap();
+        // Plant the crash leftover *before* the shard exists, then walk
+        // cold: the temp's mtime is <= the shard's, exactly the state a
+        // crash between write and rename leaves after a later save.
+        let temp = dir.join(format!(".path-0.json.tmp.{}", std::process::id() + 1));
+        std::fs::write(&temp, "{\"partial\":").unwrap();
+        walk(&dir, &preset, &catalog);
+        assert!(temp.is_file(), "precondition: no shard to compare yet");
+        let (_, asked, _) = walk(&dir, &preset, &catalog);
+        assert!(asked.is_empty());
+        assert!(!temp.exists(), "stale temp must be swept on load");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn temp_newer_than_cache_survives_the_sweep() {
+        let dir = scratch("temp-keep");
+        let preset = Preset::tiny();
+        let catalog = shard_catalog();
+        walk(&dir, &preset, &catalog);
+        // Rewind the shard's mtime so the temp planted next is strictly
+        // newer — the signature of a concurrent writer's in-flight file.
+        let old = std::fs::FileTimes::new()
+            .set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(1));
+        std::fs::File::options()
+            .append(true)
+            .open(dir.join(shard_file_name(0)))
+            .unwrap()
+            .set_times(old)
+            .unwrap();
+        let temp = dir.join(format!(".path-0.json.tmp.{}", std::process::id() + 1));
+        std::fs::write(&temp, "{\"in-flight\":").unwrap();
+        walk(&dir, &preset, &catalog);
+        assert!(temp.is_file(), "an in-flight temp must not be swept");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shard_replaced_between_classify_and_visit_is_regenerated() {
+        // A warm walk trusts shard 1 at classification; then, while
+        // path 0 is being visited, shard 1 is swapped on disk (another
+        // process, a dying disk). The visit pass must re-verify it:
+        // regenerate, save, visit the fresh data, and count it stale.
+        let dir = scratch("shard-swap");
+        let preset = Preset::tiny();
+        let catalog = shard_catalog();
+        walk(&dir, &preset, &catalog);
+        let shard = dir.join(shard_file_name(1));
+        let valid = std::fs::read_to_string(&shard).unwrap();
+        let forged = || {
+            let foreign = path_data(&catalog[1], 99e6);
+            write_foreign_shard(&dir, 1, &preset, &foreign);
+        };
+        let truncated = || std::fs::write(&shard, &valid[..valid.len() / 2]).unwrap();
+        let tampers: [&dyn Fn(); 2] = [&forged, &truncated];
+        for tamper in tampers {
+            let regenerated = std::sync::atomic::AtomicUsize::new(0);
+            let mut visited = Vec::new();
+            let stats = Dataset::for_each_path_sharded(
+                &dir,
+                &preset,
+                &catalog,
+                |id| {
+                    assert_eq!(id, 1, "only the swapped shard regenerates");
+                    regenerated.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    fake_path(&catalog, id)
+                },
+                |id, p| {
+                    if id == 0 {
+                        tamper();
+                    }
+                    visited.push(p.clone());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(regenerated.into_inner(), 1, "regenerated exactly once");
+            assert_eq!(visited.len(), 3);
+            assert_eq!(
+                visited[1],
+                fake_path(&catalog, 1),
+                "visit 1 sees fresh data"
+            );
+            assert_eq!(
+                stats,
+                ShardStats {
+                    hits: 2,
+                    missing: 0,
+                    stale: 1
+                }
+            );
+            let (_, asked, warm) = walk(&dir, &preset, &catalog);
+            assert!(asked.is_empty(), "the re-saved shard is trusted next walk");
+            assert_eq!(warm.hits, 3);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1360,7 +1175,6 @@ mod tests {
         // orphan (10000) differ in digit count; a sweep keyed on parsed
         // ids must keep one and remove the other, in both directions.
         let dir = scratch("orphan-boundary");
-        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(shard_file_name(9999)), "{}").unwrap();
         std::fs::write(dir.join(shard_file_name(10000)), "{}").unwrap();
@@ -1389,7 +1203,6 @@ mod tests {
         // forever. Only the canonical `shard_file_name` round trip names
         // a shard; everything else matching `path-*.json` is junk.
         let dir = scratch("orphan-canonical");
-        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         for junk in ["path-007.json", "path-+5.json", "path-abc.json"] {
             std::fs::write(dir.join(junk), "{}").unwrap();
@@ -1409,86 +1222,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_visit_matches_the_batch_load_bit_for_bit() {
-        let dir_stream = scratch("stream-cold");
-        let dir_batch = scratch("stream-batch");
-        let _ = std::fs::remove_dir_all(&dir_stream);
-        let _ = std::fs::remove_dir_all(&dir_batch);
-        let preset = Preset::tiny();
-        let catalog = shard_catalog();
-
-        let mut visited: Vec<(usize, PathData)> = Vec::new();
-        let stats = Dataset::for_each_path_sharded(
-            &dir_stream,
-            &preset,
-            &catalog,
-            |id| path_data(&catalog[id], (id as f64 + 1.0) * 1e6),
-            |id, p| {
-                visited.push((id, p.clone()));
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            stats,
-            ShardStats {
-                hits: 0,
-                missing: 3,
-                stale: 0
-            }
-        );
-        assert_eq!(
-            visited.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            vec![0, 1, 2],
-            "visits arrive in catalog order"
-        );
-
-        let (batch, _) =
-            Dataset::load_or_generate_sharded(&dir_batch, &preset, &catalog, regen(&catalog))
-                .unwrap();
-        for (id, p) in &visited {
-            assert_eq!(p, &batch.paths[*id], "streamed payload diverged");
-        }
-        for id in 0..catalog.len() {
-            assert_eq!(
-                std::fs::read(dir_stream.join(shard_file_name(id))).unwrap(),
-                std::fs::read(dir_batch.join(shard_file_name(id))).unwrap(),
-                "shard {id} bytes diverged between streaming and batch"
-            );
-        }
-        assert!(dir_stream.join(SHARD_MANIFEST).is_file());
-
-        // Warm pass: nothing regenerates, same visits.
-        let mut warm_ids = Vec::new();
-        let warm_stats = Dataset::for_each_path_sharded(
-            &dir_stream,
-            &preset,
-            &catalog,
-            |_| panic!("warm pass must not regenerate"),
-            |id, _| {
-                warm_ids.push(id);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            warm_stats,
-            ShardStats {
-                hits: 3,
-                missing: 0,
-                stale: 0
-            }
-        );
-        assert_eq!(warm_ids, vec![0, 1, 2]);
-
-        std::fs::remove_dir_all(&dir_stream).unwrap();
-        std::fs::remove_dir_all(&dir_batch).unwrap();
-    }
-
-    #[test]
     fn streaming_visit_error_aborts_the_walk() {
         let dir = scratch("stream-abort");
-        let _ = std::fs::remove_dir_all(&dir);
         let preset = Preset::tiny();
         let catalog = shard_catalog();
         let mut seen = 0usize;

@@ -30,8 +30,9 @@
 //!   bursts, truncated/failed transfers, and whole missing epochs — the
 //!   failure modes of the real RON testbed (DESIGN.md §10).
 //! * [`data`] — the dataset model ([`data::EpochRecord`],
-//!   [`data::Dataset`]) with JSON persistence, so every figure binary
-//!   reuses one generated dataset instead of re-simulating. Degraded
+//!   [`data::Dataset`]) and its per-path JSON shard cache, so every
+//!   figure binary reuses one generated dataset instead of
+//!   re-simulating. Degraded
 //!   epochs carry a [`data::EpochStatus`] and `None` measurements;
 //!   [`data::Dataset::complete_epochs`] yields only the fully-measured
 //!   ones, as the paper's own post-processing did.
@@ -41,8 +42,7 @@
 /// contains. Cached datasets are pure functions of (preset, seed,
 /// simulator code); the first two are fingerprinted per shard, and
 /// this digest covers the third so
-/// [`data::Dataset::load_or_generate_sharded`] (and the legacy
-/// monolithic [`data::Dataset::load_or_generate`]) regenerates caches
+/// [`data::Dataset::for_each_path_sharded`] regenerates shards
 /// produced by different simulation code — replacing the old "remember
 /// to delete `data/*` after touching netsim/tcp/probes/testbed"
 /// convention with a mechanical check. `build.rs` `include!`s this
@@ -65,7 +65,7 @@ pub use faults::{
 pub use path::{catalog_2004, catalog_2006, CrossProfile, PathConfig};
 pub use preset::Preset;
 pub use runner::{
-    catalog_for, for_each_path, generate, generate_each, generate_path, generate_paths,
-    load_or_generate_sharded, run_trace, run_trace_pooled, set_generation_workers, trace_seed,
+    catalog_for, for_each_path, generate, generate_path, load_or_generate_sharded, run_trace,
+    run_trace_pooled, set_generation_workers, trace_seed,
 };
 pub use synth::{class_specs, synth_catalog, synth_catalog_with_mix, ClassMix, ClassSpec};

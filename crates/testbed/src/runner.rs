@@ -559,96 +559,6 @@ pub fn catalog_for(preset: &Preset) -> Vec<PathConfig> {
     }
 }
 
-/// Generates the [`PathData`] for a subset of `catalog` (the paths at
-/// `indices`, in the given order), running traces in parallel across
-/// CPU cores. Deterministic: each trace's seed derives from its path's
-/// seed and trace index, never from which subset it was generated in —
-/// so generating paths one at a time and merging is bit-identical to
-/// one full pass (`tests/shard_pin.rs` pins this).
-///
-/// This is the regeneration entry point of the sharded cache
-/// ([`load_or_generate_sharded`]); [`generate`] is the
-/// whole-catalog special case.
-pub fn generate_paths(preset: &Preset, catalog: &[PathConfig], indices: &[usize]) -> Vec<PathData> {
-    if indices.is_empty() {
-        return Vec::new();
-    }
-    let jobs: Vec<(usize, usize)> = indices
-        .iter()
-        .flat_map(|&p| (0..preset.traces_per_path).map(move |t| (p, t)))
-        .collect();
-    obs::gauge_set("testbed.workers", rayon::current_num_threads() as f64);
-    obs::add("testbed.traces", jobs.len() as u64);
-    let mut gen_scope = obs::time_scope("testbed.generate_wall");
-    let mut results: Vec<((usize, usize), TraceData)> = jobs
-        .par_iter()
-        .map(|&(p, t)| ((p, t), run_trace(&catalog[p], t, preset)))
-        .collect();
-    gen_scope.stop();
-    results.sort_by_key(|&(key, _)| key);
-    let mut paths: Vec<PathData> = indices
-        .iter()
-        .map(|&p| PathData {
-            config: catalog[p].clone(),
-            traces: Vec::with_capacity(preset.traces_per_path),
-        })
-        .collect();
-    for ((p, _), trace) in results {
-        // `results` is sorted by (path, trace) and `indices` is the job
-        // order, so the slot is found by position in `indices`.
-        if let Some(slot) = indices.iter().position(|&i| i == p) {
-            paths[slot].traces.push(trace);
-        }
-    }
-    paths
-}
-
-/// Generates a complete dataset for `preset`, running traces in parallel
-/// across CPU cores. Deterministic: the result depends only on the
-/// preset (every trace derives its seed from the path seed and trace
-/// index).
-pub fn generate(preset: &Preset) -> Dataset {
-    let catalog = catalog_for(preset);
-    let indices: Vec<usize> = (0..catalog.len()).collect();
-    let paths = generate_paths(preset, &catalog, &indices);
-    Dataset {
-        preset: preset.clone(),
-        paths,
-    }
-}
-
-/// Loads `preset`'s dataset from the sharded cache at `dir`
-/// (`data/<preset>/`), regenerating only the stale, missing, or corrupt
-/// shards via [`generate_paths`]. Returns the merged dataset — bit
-/// identical to [`generate`] — and the shard reuse counts.
-///
-/// Telemetry (observation-only, recorded when profiling is enabled):
-/// `testbed.shards.hit` / `.missing` / `.stale` / `.regenerated`
-/// counters and a `testbed.shard_cache_wall` scope around the whole
-/// load-or-regenerate pass.
-pub fn load_or_generate_sharded(
-    dir: &std::path::Path,
-    preset: &Preset,
-) -> std::io::Result<(Dataset, crate::data::ShardStats)> {
-    let mut scope = obs::time_scope("testbed.shard_cache_wall");
-    let catalog = catalog_for(preset);
-    let result = Dataset::load_or_generate_sharded(dir, preset, &catalog, |stale| {
-        generate_paths(preset, &catalog, stale)
-    });
-    scope.stop();
-    if let Ok((_, stats)) = &result {
-        record_shard_stats(stats);
-    }
-    result
-}
-
-fn record_shard_stats(stats: &crate::data::ShardStats) {
-    obs::add("testbed.shards.hit", stats.hits as u64);
-    obs::add("testbed.shards.missing", stats.missing as u64);
-    obs::add("testbed.shards.stale", stats.stale as u64);
-    obs::add("testbed.shards.regenerated", stats.regenerated() as u64);
-}
-
 /// Overrides how many workers the parallel generation fan-out uses on
 /// this thread (0 restores the `RAYON_NUM_THREADS`-or-core-count
 /// default). Generation is deterministic per (path, trace), so the
@@ -659,9 +569,9 @@ pub fn set_generation_workers(n: usize) {
 }
 
 /// Generates one path's complete [`PathData`] — every trace, in order,
-/// on the calling thread. The per-shard regeneration unit of the
-/// streaming API; bit-identical to the same path's slice of a full
-/// [`generate`] pass (trace seeds depend only on (path, trace index)).
+/// on the calling thread: the unit of generation everywhere. Trace
+/// seeds depend only on (path, trace index), so a path generated alone
+/// is bit-identical to the same path inside a full [`generate`] pass.
 pub fn generate_path(preset: &Preset, config: &PathConfig) -> PathData {
     PathData {
         config: config.clone(),
@@ -671,16 +581,47 @@ pub fn generate_path(preset: &Preset, config: &PathConfig) -> PathData {
     }
 }
 
-/// Streams `preset`'s dataset through `visit` in catalog order without
-/// ever materializing the merged [`Dataset`] (DESIGN.md §15): untrusted
-/// shards regenerate first — one path per parallel job, written to disk
-/// as each finishes — then every shard is loaded, visited, and dropped.
-/// O(one path) resident memory; the 10k-path presets depend on it.
+/// Generates a complete dataset for `preset` without touching any
+/// cache, one [`generate_path`] per catalog path fanned out across
+/// workers. Deterministic: the result depends only on the preset. The
+/// uncached reference the shard, zero-fault, and telemetry pins
+/// compare against, and the generator of small campaign presets that
+/// have no cache (`fig25_resilience`, `abl_faults`).
 ///
-/// Telemetry mirrors [`load_or_generate_sharded`]: the same
-/// `testbed.shard_cache_wall` scope, `testbed.shards.*` counters, and
-/// (from inside the streaming core) `testbed.generate_wall` +
-/// `testbed.workers`, plus a `testbed.paths_streamed` counter.
+/// Telemetry (observation-only): the fan-out sits inside one
+/// `testbed.generate_wall` scope with `testbed.workers` and
+/// `testbed.traces` recorded, as in the shard walk's regeneration.
+pub fn generate(preset: &Preset) -> Dataset {
+    let catalog = catalog_for(preset);
+    obs::gauge_set("testbed.workers", rayon::current_num_threads() as f64);
+    obs::add(
+        "testbed.traces",
+        (catalog.len() * preset.traces_per_path) as u64,
+    );
+    let mut gen_scope = obs::time_scope("testbed.generate_wall");
+    let paths = catalog
+        .par_iter()
+        .map(|config| generate_path(preset, config))
+        .collect();
+    gen_scope.stop();
+    Dataset {
+        preset: preset.clone(),
+        paths,
+    }
+}
+
+/// Streams `preset`'s dataset through `visit` in catalog order without
+/// ever materializing the merged [`Dataset`] (DESIGN.md §15): the
+/// shard cache at `dir` (`data/<preset>/`) is walked by
+/// [`Dataset::for_each_path_sharded`], regenerating untrusted shards
+/// with [`generate_path`]. O(one path) resident memory; the 10k-path
+/// presets depend on it.
+///
+/// Telemetry (observation-only, recorded when profiling is enabled): a
+/// `testbed.shard_cache_wall` scope around the whole walk,
+/// `testbed.shards.hit` / `.missing` / `.stale` / `.regenerated`
+/// counters, a `testbed.paths_streamed` counter, and (from inside the
+/// walk) `testbed.generate_wall` + `testbed.workers`.
 pub fn for_each_path<V>(
     dir: &std::path::Path,
     preset: &Preset,
@@ -703,33 +644,32 @@ where
     );
     scope.stop();
     if let Ok(stats) = &result {
-        record_shard_stats(stats);
+        obs::add("testbed.shards.hit", stats.hits as u64);
+        obs::add("testbed.shards.missing", stats.missing as u64);
+        obs::add("testbed.shards.stale", stats.stale as u64);
+        obs::add("testbed.shards.regenerated", stats.regenerated() as u64);
     }
     result
 }
 
-/// Uncached streaming generation: simulates `preset`'s catalog in
-/// worker-sized chunks and hands each [`PathData`] to `visit` in
-/// catalog order, dropping it afterwards — for campaign binaries
-/// (`fig25_resilience`) that never want a disk cache but must not hold
-/// a whole `Dataset` either. Chunking preserves the parallel fan-out;
-/// output is independent of the chunk size (every trace is a pure
-/// function of (path config, trace index, preset)).
-pub fn generate_each<V>(preset: &Preset, mut visit: V)
-where
-    V: FnMut(usize, PathData),
-{
-    let catalog = catalog_for(preset);
-    let chunk = (rayon::current_num_threads() * 2).max(1);
-    let mut next = 0usize;
-    while next < catalog.len() {
-        let indices: Vec<usize> = (next..(next + chunk).min(catalog.len())).collect();
-        let paths = generate_paths(preset, &catalog, &indices);
-        for (id, path) in indices.iter().zip(paths) {
-            visit(*id, path);
-        }
-        next += chunk;
-    }
+/// The whole dataset from the shard cache at `dir`: a collect over
+/// [`for_each_path`], for callers small enough to hold every path at
+/// once (the figure binaries over the stock presets). Bit-identical to
+/// [`generate`].
+pub fn load_or_generate_sharded(
+    dir: &std::path::Path,
+    preset: &Preset,
+) -> std::io::Result<(Dataset, crate::data::ShardStats)> {
+    let mut paths = Vec::new();
+    let stats = for_each_path(dir, preset, |_, path| {
+        paths.push(path.clone());
+        Ok(())
+    })?;
+    let dataset = Dataset {
+        preset: preset.clone(),
+        paths,
+    };
+    Ok((dataset, stats))
 }
 
 #[cfg(test)]
@@ -886,7 +826,6 @@ mod tests {
             assert_eq!(r.flow_loss_events, 0);
         }
         assert!(trace.throughput_series().is_empty());
-        assert_eq!(trace.throughput_series_gappy(), vec![None, None, None]);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use tputpred_netsim::Time;
 use tputpred_testbed::data::{shard_file_name, SHARD_MANIFEST};
 use tputpred_testbed::{
-    catalog_for, for_each_path, generate, generate_paths, load_or_generate_sharded, FaultConfig,
-    Preset, RegimeConfig, ShardStats,
+    catalog_for, for_each_path, generate, load_or_generate_sharded, FaultConfig, Preset,
+    RegimeConfig, ShardStats,
 };
 
 fn pin_preset() -> Preset {
@@ -112,30 +112,12 @@ fn sharded_load_is_bit_identical_to_from_scratch_generation() {
 }
 
 #[test]
-fn per_path_generation_matches_the_full_pass_slice_for_slice() {
-    // generate_paths() on an arbitrary subset must reproduce exactly the
-    // slices of the full pass — trace seeds depend only on (path, trace
-    // index), never on which batch a path was generated in.
-    let preset = pin_preset();
-    let catalog = catalog_for(&preset);
-    let full = generate(&preset);
-    let subset = generate_paths(&preset, &catalog, &[2, 0]);
-    assert_eq!(subset.len(), 2);
-    assert_eq!(subset[0], full.paths[2], "path 2 diverged in subset run");
-    assert_eq!(subset[1], full.paths[0], "path 0 diverged in subset run");
-    assert!(
-        generate_paths(&preset, &catalog, &[]).is_empty(),
-        "empty subset generates nothing"
-    );
-}
-
-#[test]
 fn multi_worker_generation_is_bit_identical_to_single_worker() {
     // The synth-preset acceptance bar (DESIGN.md §15): worker count
     // changes only the wall clock, never the bytes. Generate the same
     // preset cold through the streaming API under 1 worker and under 4,
     // and byte-compare every shard file — then check both against the
-    // batch loader too.
+    // uncached reference too.
     let preset = pin_preset();
     let dir_one = scratch("w1");
     let dir_four = scratch("w4");
@@ -172,7 +154,7 @@ fn multi_worker_generation_is_bit_identical_to_single_worker() {
         assert_eq!(one, four, "shard {id} differs across worker counts");
     }
 
-    // And both agree with the batch API on a warm read.
+    // And a warm read of them agrees with the uncached reference.
     let reference = generate(&preset);
     let (warm, stats) = load_or_generate_sharded(&dir_four, &preset).expect("warm load");
     assert_eq!(
@@ -191,38 +173,4 @@ fn multi_worker_generation_is_bit_identical_to_single_worker() {
 
     fs::remove_dir_all(&dir_one).expect("cleanup");
     fs::remove_dir_all(&dir_four).expect("cleanup");
-}
-
-#[test]
-fn legacy_monolithic_cache_migrates_to_shards() {
-    let preset = pin_preset();
-    let base = scratch("legacy");
-    let _ = fs::remove_dir_all(&base);
-    fs::create_dir_all(&base).expect("scratch dir");
-    let dir = base.join(&preset.name);
-    let legacy = base.join(format!("{}.json", preset.name));
-
-    // A monolithic cache from the pre-shard format — even one written by
-    // this very binary — is fully superseded: every shard regenerates
-    // and the monolith is removed.
-    let reference = generate(&preset);
-    reference.save(&legacy).expect("write legacy cache");
-    let (migrated, stats) = load_or_generate_sharded(&dir, &preset).expect("migrating load");
-    assert_eq!(
-        stats,
-        ShardStats {
-            hits: 0,
-            missing: preset.paths,
-            stale: 0
-        },
-        "legacy cache is treated as fully stale"
-    );
-    assert_eq!(migrated, reference);
-    assert!(!legacy.exists(), "monolithic cache removed after migration");
-    assert!(
-        dir.join(shard_file_name(0)).is_file(),
-        "sharded cache in place"
-    );
-
-    fs::remove_dir_all(&base).expect("cleanup");
 }
