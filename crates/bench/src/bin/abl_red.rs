@@ -12,7 +12,7 @@ use tputpred_bench::Args;
 use tputpred_core::hb::HoltWinters;
 use tputpred_core::lso::Lso;
 use tputpred_core::metrics::evaluate;
-use tputpred_netsim::link::{Aqm, LinkConfig};
+use tputpred_netsim::link::LinkConfig;
 use tputpred_netsim::sources::{ParetoOnOffSource, Sink, SourceConfig};
 use tputpred_netsim::{RateSchedule, Route, Simulator, Time};
 use tputpred_probes::BulkTransfer;
@@ -98,7 +98,6 @@ fn main() {
         ]);
     }
     print!("{}", table.render());
-    let _ = Aqm::DropTail; // (re-exported type referenced for the docs)
     println!("# expected shape: RED keeps the flow's RTT lower (shorter average queue) and");
     println!("# de-clusters losses; the throughput series' predictability shifts accordingly.");
 }

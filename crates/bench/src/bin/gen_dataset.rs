@@ -11,13 +11,10 @@
 //! shard reuse counts are reported either way. Paths are **streamed**
 //! (DESIGN.md §15): the summary accumulates while each shard is visited
 //! and dropped, so `synth10k`-scale presets cost O(one path) memory.
-//! With `--profile`, the load runs with telemetry enabled and writes a
-//! `BENCH_gen_<preset>.json` perf report to the working directory
-//! (stage timings, event rates, parallel speedup, shard counts;
-//! DESIGN.md §11). The dataset is bit-identical with or without
-//! profiling.
+//! To profile the same walk and write `BENCH_gen_<preset>.json`, run
+//! `perf_report` instead (DESIGN.md §11).
 
-use tputpred_bench::{a_priori, fb_config, is_lossy, profile, require_cdf, Args};
+use tputpred_bench::{a_priori, fb_config, is_lossy, require_cdf, Args};
 use tputpred_core::fb::FbPredictor;
 use tputpred_core::metrics::relative_error_floored;
 use tputpred_stats::render;
@@ -57,25 +54,15 @@ fn main() {
         Ok(())
     };
 
-    if args.profile {
-        let (_, report) = profile::profile_for_each_path(&args, visit)
-            .unwrap_or_else(|e| panic!("profiled generation: {e}"));
-        let out = profile::perf_report_path(&args.preset.name);
-        profile::write_perf_report(&report, &out)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", out.display()));
-        eprint!("{}", profile::render_perf_report(&report));
-        eprintln!("# perf report -> {}", out.display());
-    } else {
-        let shards = for_each_path(&args.shard_dir(), &args.preset, visit)
-            .unwrap_or_else(|e| panic!("dataset load: {e}"));
-        eprintln!(
-            "# shards: hit={} missing={} stale={} regenerated={}",
-            shards.hits,
-            shards.missing,
-            shards.stale,
-            shards.regenerated()
-        );
-    }
+    let shards = for_each_path(&args.shard_dir(), &args.preset, visit)
+        .unwrap_or_else(|e| panic!("dataset load: {e}"));
+    eprintln!(
+        "# shards: hit={} missing={} stale={} regenerated={}",
+        shards.hits,
+        shards.missing,
+        shards.stale,
+        shards.regenerated()
+    );
     println!("# dataset: {} ({} epochs)", args.preset.name, epoch_count);
 
     let n = errors.len();

@@ -10,8 +10,8 @@
 //! * [`analysis`] — applying the FB predictor (Eq. 3) to epoch records,
 //!   per-trace RMSRE evaluation of HB predictors (named from
 //!   `tputpred_core::catalog`), and dataset caching;
-//! * [`profile`] — telemetry-enabled generation (`--profile` /
-//!   `perf_report`) and the `BENCH_gen_<preset>.json` perf report.
+//! * [`profile`] — telemetry-enabled generation (the `perf_report`
+//!   binary) and the `BENCH_gen_<preset>.json` perf report.
 //!
 //! Figure binaries print plain-text series/tables (via
 //! [`tputpred_stats::render`]) so the output is diff- and grep-friendly;

@@ -1,9 +1,9 @@
 //! Profiled dataset generation and the `BENCH_gen_<preset>.json` report.
 //!
-//! `gen_dataset --profile` and the `perf_report` binary both route
-//! through [`profile_for_each_path`]: the shard walk (DESIGN.md §9)
-//! runs under [`tputpred_obs::with_profiling`] (telemetry enabled for
-//! exactly that call), and the raw [`TelemetryReport`] is distilled
+//! The `perf_report` binary — the one profiler — routes through
+//! [`profile_for_each_path`]: the shard walk (DESIGN.md §9) runs under
+//! [`tputpred_obs::with_profiling`] (telemetry enabled for exactly that
+//! call), and the raw [`TelemetryReport`] is distilled
 //! into a [`PerfReport`] — stage wall-clock timings, simulator event
 //! rates, the parallel speedup actually achieved, and the shard cache's
 //! hit/miss/regen counts — then written as JSON.

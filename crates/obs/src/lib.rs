@@ -25,7 +25,6 @@
 //!
 //! * [`add`] — monotonic `u64` counters (events dispatched, drops, ...)
 //! * [`gauge_set`] — last-write-wins `f64` gauges (worker count, ...)
-//! * [`record`] — `f64` sample distributions (count/total/min/max)
 //! * [`time_scope`] / [`TimeScope`] — wall-clock timing scopes that
 //!   accumulate nanosecond durations, reported in seconds
 //!
@@ -39,7 +38,7 @@ use std::time::Instant;
 
 pub mod report;
 
-pub use report::{CounterEntry, DistEntry, GaugeEntry, TelemetryReport, TimerEntry};
+pub use report::{CounterEntry, GaugeEntry, TelemetryReport, TimerEntry};
 
 /// A monotonic counter cell. Lock-free; increments are relaxed atomic
 /// adds, so contended workers never serialize on telemetry.
@@ -62,28 +61,6 @@ impl Default for GaugeCell {
     }
 }
 
-/// Sample distribution: count, sum, min, max over `f64` samples.
-/// Min/max use compare-exchange loops with float comparison, so
-/// negative samples order correctly too.
-#[derive(Debug)]
-struct DistCell {
-    count: AtomicU64,
-    total_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Default for DistCell {
-    fn default() -> Self {
-        DistCell {
-            count: AtomicU64::new(0),
-            total_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-}
-
 /// Wall-clock timer accumulator in nanoseconds.
 #[derive(Debug, Default)]
 struct TimerCell {
@@ -101,7 +78,6 @@ struct Registry {
     enabled: AtomicBool,
     counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
-    dists: Mutex<BTreeMap<String, Arc<DistCell>>>,
     timers: Mutex<BTreeMap<String, Arc<TimerCell>>>,
 }
 
@@ -160,14 +136,6 @@ pub fn reset() {
     for cell in locked(&reg.gauges).values() {
         cell.bits.store(0f64.to_bits(), Ordering::Relaxed);
     }
-    for cell in locked(&reg.dists).values() {
-        cell.count.store(0, Ordering::Relaxed);
-        cell.total_bits.store(0f64.to_bits(), Ordering::Relaxed);
-        cell.min_bits
-            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-        cell.max_bits
-            .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-    }
     for cell in locked(&reg.timers).values() {
         cell.count.store(0, Ordering::Relaxed);
         cell.total_ns.store(0, Ordering::Relaxed);
@@ -197,72 +165,6 @@ pub fn gauge_set(name: &str, value: f64) {
         .store(value.to_bits(), Ordering::Relaxed);
 }
 
-fn dist_fold(cell: &AtomicU64, sample: f64, pick: fn(f64, f64) -> f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = pick(f64::from_bits(cur), sample).to_bits();
-        if next == cur {
-            return;
-        }
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn dist_push(cell: &DistCell, count: u64, total: f64, min: f64, max: f64) {
-    cell.count.fetch_add(count, Ordering::Relaxed);
-    dist_fold(&cell.total_bits, total, |acc, v| acc + v);
-    dist_fold(&cell.min_bits, min, f64::min);
-    dist_fold(&cell.max_bits, max, f64::max);
-}
-
-/// Records one sample into the distribution `name`. No-op while
-/// disabled; non-finite samples are dropped.
-pub fn record(name: &str, sample: f64) {
-    if !enabled() || !sample.is_finite() {
-        return;
-    }
-    dist_push(&intern(&registry().dists, name), 1, sample, sample, sample);
-}
-
-/// Merges a pre-aggregated summary (count, sum, min, max) into the
-/// distribution `name`. Lets hot paths keep cheap thread-local
-/// summaries and fold them in once per trace. No-op while disabled or
-/// when `count` is zero.
-pub fn record_summary(name: &str, count: u64, total: f64, min: f64, max: f64) {
-    if !enabled() || count == 0 {
-        return;
-    }
-    if !(total.is_finite() && min.is_finite() && max.is_finite()) {
-        return;
-    }
-    dist_push(&intern(&registry().dists, name), count, total, min, max);
-}
-
-/// Records a pre-measured duration (in nanoseconds) into the timer
-/// `name`. No-op while disabled.
-pub fn timer_record_ns(name: &str, elapsed_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    timer_push(&intern(&registry().timers, name), elapsed_ns);
-}
-
-fn timer_push(cell: &TimerCell, elapsed_ns: u64) {
-    let prior = cell.count.fetch_add(1, Ordering::Relaxed);
-    cell.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-    if prior == 0 {
-        // First sample seeds min directly; fetch_min against the
-        // default 0 would otherwise pin min at 0 forever. A racing
-        // first sample is resolved by the fetch_min below.
-        cell.min_ns.store(elapsed_ns, Ordering::Relaxed);
-    }
-    cell.min_ns.fetch_min(elapsed_ns, Ordering::Relaxed);
-    cell.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
-}
-
 /// An in-flight wall-clock measurement. Records into its timer when
 /// dropped (or explicitly via [`TimeScope::stop`]). Holds no lock; the
 /// clock is read at start and stop only.
@@ -276,13 +178,17 @@ impl TimeScope {
     pub fn stop(&mut self) {
         if let Some((cell, started)) = self.live.take() {
             let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            timer_push(&cell, elapsed_ns);
+            let prior = cell.count.fetch_add(1, Ordering::Relaxed);
+            cell.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
+            if prior == 0 {
+                // First sample seeds min directly; fetch_min against the
+                // default 0 would otherwise pin min at 0 forever. A racing
+                // first sample is resolved by the fetch_min below.
+                cell.min_ns.store(elapsed_ns, Ordering::Relaxed);
+            }
+            cell.min_ns.fetch_min(elapsed_ns, Ordering::Relaxed);
+            cell.max_ns.fetch_max(elapsed_ns, Ordering::Relaxed);
         }
-    }
-
-    /// Abandons the measurement without recording it.
-    pub fn cancel(&mut self) {
-        self.live = None;
     }
 }
 
@@ -323,27 +229,6 @@ pub fn snapshot() -> TelemetryReport {
             value: f64::from_bits(cell.bits.load(Ordering::Relaxed)),
         })
         .collect();
-    let dists = locked(&reg.dists)
-        .iter()
-        .map(|(name, cell)| {
-            let count = cell.count.load(Ordering::Relaxed);
-            DistEntry {
-                name: name.clone(),
-                count,
-                total: f64::from_bits(cell.total_bits.load(Ordering::Relaxed)),
-                min: if count == 0 {
-                    0.0
-                } else {
-                    f64::from_bits(cell.min_bits.load(Ordering::Relaxed))
-                },
-                max: if count == 0 {
-                    0.0
-                } else {
-                    f64::from_bits(cell.max_bits.load(Ordering::Relaxed))
-                },
-            }
-        })
-        .collect();
     let timers = locked(&reg.timers)
         .iter()
         .map(|(name, cell)| {
@@ -360,15 +245,14 @@ pub fn snapshot() -> TelemetryReport {
     TelemetryReport {
         counters,
         gauges,
-        dists,
         timers,
     }
 }
 
 /// Runs `f` with telemetry enabled and a fresh window, restoring the
 /// previous enabled state afterwards; returns `f`'s output plus the
-/// snapshot taken at the end. The profiling entry points (`gen_dataset
-/// --profile`, `perf_report`) funnel through this.
+/// snapshot taken at the end. The profiler (`perf_report`, through
+/// `tputpred_bench::profile`) funnels through this.
 pub fn with_profiling<T>(f: impl FnOnce() -> T) -> (T, TelemetryReport) {
     let was = enabled();
     reset();
@@ -403,11 +287,7 @@ mod tests {
         add("t.counter", 2);
         add("t.counter", 3);
         gauge_set("t.gauge", 8.5);
-        record("t.dist", 1.0);
-        record("t.dist", 3.0);
-        record_summary("t.dist", 2, 10.0, 2.0, 8.0);
-        timer_record_ns("t.timer", 1_000_000);
-        {
+        for _ in 0..2 {
             let _scope = time_scope("t.timer");
         }
 
@@ -421,14 +301,9 @@ mod tests {
             .find(|g| g.name == "t.gauge")
             .map(|g| g.value);
         assert!(gauge.is_some_and(|v| (v - 8.5).abs() < 1e-12));
-        let dist = report.dist("t.dist").expect("dist recorded");
-        assert_eq!(dist.count, 4);
-        assert!((dist.total - 14.0).abs() < 1e-12);
-        assert!((dist.min - 1.0).abs() < 1e-12);
-        assert!((dist.max - 8.0).abs() < 1e-12);
         let timer = report.timer("t.timer").expect("timer recorded");
         assert_eq!(timer.count, 2);
-        assert!(timer.total_s >= 1e-3);
+        assert!(timer.min_s <= timer.max_s);
 
         reset();
         let zeroed = snapshot();
@@ -440,11 +315,9 @@ mod tests {
         let _guard = test_lock();
         set_enabled(false);
         add("t.off", 7);
-        record("t.off.dist", 1.0);
         let _scope = time_scope("t.off.timer");
         let report = snapshot();
         assert_eq!(report.counter("t.off"), None);
-        assert!(report.dist("t.off.dist").is_none());
         assert!(report.timer("t.off.timer").is_none());
     }
 

@@ -1,10 +1,9 @@
 //! The dataset model: what one epoch measures and how datasets persist.
 //!
 //! The cache is **sharded per path** (DESIGN.md §9): one
-//! `path-<id>.json` per catalog path under `data/<preset>/`, plus a
-//! `manifest.json`. Each shard embeds the [`BEHAVIOR_HASH`] of the
-//! simulation source trees (netsim, tcp, probes, testbed) *and* a
-//! fingerprint of (preset, path config), so
+//! `path-<id>.json` per catalog path under `data/<preset>/`. Each shard
+//! embeds the [`BEHAVIOR_HASH`] of the simulation source trees (netsim,
+//! tcp, probes, testbed) *and* a fingerprint of (preset, path config), so
 //! [`Dataset::for_each_path_sharded`] reuses every shard the running
 //! binary still trusts and regenerates only the stale, missing, or
 //! corrupt ones. A cached dataset is a pure function of (preset, seed,
@@ -294,9 +293,9 @@ impl Dataset {
     /// damaged in between is regenerated, saved, and counted as stale —
     /// never visited unverified, never an aborted walk.
     ///
-    /// Housekeeping on every walk: orphaned atomic-write temp files are
-    /// swept, shards beyond the catalog (a shrunk preset) are removed,
-    /// and the manifest is rewritten when out of date.
+    /// Housekeeping on every walk, in one scan of `dir`: orphaned
+    /// atomic-write temp files are swept and shards beyond the catalog
+    /// (a shrunk preset) are removed.
     pub fn for_each_path_sharded<G, V>(
         dir: &FsPath,
         preset: &Preset,
@@ -309,8 +308,7 @@ impl Dataset {
         V: FnMut(usize, &PathData) -> io::Result<()>,
     {
         fs::create_dir_all(dir)?;
-        sweep_stale_temps(dir);
-        remove_orphan_shards(dir, catalog.len());
+        tidy_shard_dir(dir, catalog.len());
 
         let fingerprints: Vec<String> = catalog
             .iter()
@@ -363,7 +361,6 @@ impl Dataset {
             gen_scope.stop();
             outcomes.into_iter().collect::<io::Result<()>>()?;
         }
-        write_manifest_if_changed(dir, preset, &fingerprints)?;
 
         for (id, expected) in fingerprints.iter().enumerate() {
             let path = match load_shard(&dir.join(shard_file_name(id))) {
@@ -391,9 +388,6 @@ impl Dataset {
 
 // --- Sharded per-path persistence (DESIGN.md §9) ------------------------
 
-/// File name of the shard manifest inside a shard directory.
-pub const SHARD_MANIFEST: &str = "manifest.json";
-
 /// File name of the shard holding catalog path `id`.
 pub fn shard_file_name(id: usize) -> String {
     format!("path-{id}.json")
@@ -401,7 +395,7 @@ pub fn shard_file_name(id: usize) -> String {
 
 /// Per-shard outcome counts of one [`Dataset::for_each_path_sharded`]
 /// walk: how much of the cache was reusable and why the rest was not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Shards loaded from disk (behavior hash and fingerprint matched).
     pub hits: usize,
@@ -436,31 +430,6 @@ struct ShardFile {
     config_fingerprint: String,
     /// The payload.
     path: PathData,
-}
-
-/// One manifest line: which shard file covers which catalog path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ManifestEntry {
-    /// Catalog index.
-    id: usize,
-    /// Shard file name ([`shard_file_name`]).
-    file: String,
-    /// Expected [`shard_fingerprint`] of the shard.
-    config_fingerprint: String,
-}
-
-/// `manifest.json`: a human-readable index of the shard directory.
-/// Validity is decided per shard (each shard self-describes); the
-/// manifest records what the directory *should* contain so a partially
-/// written or hand-edited cache is easy to diagnose.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Manifest {
-    /// [`BEHAVIOR_HASH`] at the last (re)generation.
-    behavior_hash: String,
-    /// The preset the shards belong to.
-    preset: Preset,
-    /// One entry per catalog path, in catalog order.
-    shards: Vec<ManifestEntry>,
 }
 
 /// FNV-1a, 64-bit — same digest family as the behavior hash.
@@ -514,65 +483,6 @@ fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::
     write_atomic(&dir.join(shard_file_name(id)), &json)
 }
 
-/// Rewrites `manifest.json` when its expected content differs from
-/// what is on disk (first generation, behavior-hash change, catalog
-/// change, or a deleted/hand-edited manifest).
-fn write_manifest_if_changed(
-    dir: &FsPath,
-    preset: &Preset,
-    fingerprints: &[String],
-) -> io::Result<()> {
-    let manifest = Manifest {
-        behavior_hash: BEHAVIOR_HASH.to_string(),
-        preset: preset.clone(),
-        shards: fingerprints
-            .iter()
-            .enumerate()
-            .map(|(id, fingerprint)| ManifestEntry {
-                id,
-                file: shard_file_name(id),
-                config_fingerprint: fingerprint.clone(),
-            })
-            .collect(),
-    };
-    let json = serde_json::to_string(&manifest).map_err(io::Error::other)?;
-    let path = dir.join(SHARD_MANIFEST);
-    if fs::read_to_string(&path).is_ok_and(|on_disk| on_disk == json) {
-        return Ok(());
-    }
-    write_atomic(&path, &json)
-}
-
-/// Removes `path-<id>.json` shards beyond the catalog — left behind
-/// when a preset shrinks its path count. Best-effort.
-///
-/// A file is a shard if and only if its name is the *canonical*
-/// [`shard_file_name`] of its parsed id: `usize::from_str` alone also
-/// accepts zero-padded (`path-007.json`) and signed (`path-+5.json`)
-/// spellings that no load will ever consult — under a lenient parse
-/// those mis-classify as live ids and survive every sweep (or, worse, a
-/// padded spelling of an id beyond the catalog survives a shrink across
-/// a digit boundary, e.g. 10000 → 9999). Anything matching the
-/// `path-*.json` pattern without round-tripping is unreadable junk in a
-/// directory this module owns, and is removed with the orphans.
-fn remove_orphan_shards(dir: &FsPath, path_count: usize) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.filter_map(Result::ok) {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let live = name
-            .strip_prefix("path-")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|digits| digits.parse::<usize>().ok())
-            .filter(|&id| shard_file_name(id) == name)
-            .is_some_and(|id| id < path_count);
-        if !live && name.starts_with("path-") && name.ends_with(".json") {
-            let _ = fs::remove_file(entry.path());
-        }
-    }
-}
-
 /// Writes `json` to `path` atomically: a temp file in the destination
 /// directory, then rename, so an interrupted save can never leave a
 /// truncated cache behind. The temp name embeds the process id so
@@ -594,31 +504,54 @@ fn write_atomic(path: &FsPath, json: &str) -> io::Result<()> {
     }
 }
 
-/// Sweeps orphaned atomic-write temp files (`.{name}.tmp.{pid}`) left
-/// behind by a crash between [`write_atomic`]'s write and rename. Only
-/// temps **no newer than the cache file they shadow** are removed: a
-/// concurrent writer's in-flight temp is strictly newer than the cache
-/// it is about to replace, while a crash leftover is older than the
-/// cache some later save renamed into place. A leftover with no cache
-/// file at all is kept for now — the shard it shadows is about to
-/// regenerate, after which the next load sweeps it. Best-effort: IO
-/// errors leave the temp for the next load.
-fn sweep_stale_temps(dir: &FsPath) {
+/// Housekeeping for a shard directory holding a `path_count`-path
+/// catalog, in one best-effort scan (IO errors leave an entry for the
+/// next walk):
+///
+/// * a **live shard** — the canonical [`shard_file_name`] of an id below
+///   `path_count` — is kept;
+/// * any other `path-*.json` is removed: a shard beyond the catalog (a
+///   shrunk preset), or a spelling no load will ever consult.
+///   `usize::from_str` alone also accepts zero-padded (`path-007.json`)
+///   and signed (`path-+5.json`) names; under a lenient parse those
+///   mis-classify as live ids and survive every sweep (or, worse, a
+///   padded spelling of an id beyond the catalog survives a shrink
+///   across a digit boundary, e.g. 10000 → 9999);
+/// * an atomic-write temp `.{target}.tmp.{pid}` ([`write_atomic`]) is
+///   kept only while `target` is a live shard name and the temp is
+///   strictly newer than `target`, or `target` is absent. A concurrent
+///   writer's in-flight temp is newer than the shard it is about to
+///   replace; a crash leftover is no newer than the shard some later
+///   save renamed into place. With no shard yet the temp stays until
+///   that shard regenerates, after which the next walk sweeps it. A
+///   temp whose target is not a live shard can never be renamed into
+///   use by this catalog and is removed at once;
+/// * every other file is left untouched.
+fn tidy_shard_dir(dir: &FsPath, path_count: usize) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
+    let live = |name: &str| {
+        name.strip_prefix("path-")
+            .and_then(|rest| rest.strip_suffix(".json"))
+            .and_then(|digits| digits.parse::<usize>().ok())
+            .is_some_and(|id| id < path_count && shard_file_name(id) == name)
+    };
+    let mtime = |p: &FsPath| fs::metadata(p).and_then(|m| m.modified());
     for entry in entries.filter_map(Result::ok) {
         let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(target) = temp_target_name(&name) else {
-            continue;
-        };
-        let temp_path = entry.path();
-        let target_mtime = fs::metadata(dir.join(target)).and_then(|m| m.modified());
-        let temp_mtime = fs::metadata(&temp_path).and_then(|m| m.modified());
-        if let (Ok(temp_m), Ok(target_m)) = (temp_mtime, target_mtime) {
-            if temp_m <= target_m {
-                let _ = fs::remove_file(&temp_path);
+        let remove = match temp_target_name(&name) {
+            Some(target) if live(target) => {
+                match (mtime(&entry.path()), mtime(&dir.join(target))) {
+                    (Ok(temp), Ok(shard)) => temp <= shard,
+                    _ => false,
+                }
             }
+            Some(_) => true,
+            None => name.starts_with("path-") && name.ends_with(".json") && !live(&name),
+        };
+        if remove {
+            let _ = fs::remove_file(entry.path());
         }
     }
 }
@@ -889,7 +822,6 @@ mod tests {
         for id in 0..3 {
             assert!(dir.join(shard_file_name(id)).is_file());
         }
-        assert!(dir.join(SHARD_MANIFEST).is_file());
 
         let (warm, asked, warm_stats) = walk(&dir, &preset, &catalog);
         assert!(asked.is_empty(), "warm walk must not regenerate");
@@ -1047,8 +979,8 @@ mod tests {
         entries.sort();
         assert_eq!(
             entries,
-            vec!["manifest.json", "path-0.json", "path-1.json", "path-2.json"],
-            "only the renamed shards and manifest remain"
+            vec!["path-0.json", "path-1.json", "path-2.json"],
+            "only the renamed shards remain"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1069,6 +1001,23 @@ mod tests {
         let (_, asked, _) = walk(&dir, &preset, &catalog);
         assert!(asked.is_empty());
         assert!(!temp.exists(), "stale temp must be swept on load");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn temp_for_a_shard_beyond_the_catalog_is_swept() {
+        // A crash leftover whose target is no live shard — here shard 7
+        // of a 3-path catalog — can never be renamed into use, so it is
+        // removed even though its target file is absent.
+        let dir = scratch("temp-orphan");
+        std::fs::create_dir_all(&dir).unwrap();
+        let preset = Preset::tiny();
+        let catalog = shard_catalog();
+        let temp = dir.join(format!(".path-7.json.tmp.{}", std::process::id() + 1));
+        std::fs::write(&temp, "{\"partial\":").unwrap();
+        walk(&dir, &preset, &catalog);
+        walk(&dir, &preset, &catalog);
+        assert!(!temp.exists(), "a temp for a non-live shard must be swept");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1178,7 +1127,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(shard_file_name(9999)), "{}").unwrap();
         std::fs::write(dir.join(shard_file_name(10000)), "{}").unwrap();
-        remove_orphan_shards(&dir, 10000);
+        tidy_shard_dir(&dir, 10000);
         assert!(
             dir.join(shard_file_name(9999)).is_file(),
             "id 9999 is live at path_count 10000"
@@ -1187,7 +1136,7 @@ mod tests {
             !dir.join(shard_file_name(10000)).exists(),
             "id 10000 is an orphan at path_count 10000"
         );
-        remove_orphan_shards(&dir, 9999);
+        tidy_shard_dir(&dir, 9999);
         assert!(
             !dir.join(shard_file_name(9999)).exists(),
             "id 9999 is an orphan once the catalog shrinks to 9999"
@@ -1201,23 +1150,32 @@ mod tests {
         // spellings that no load ever consults — under the old lenient
         // sweep, `path-007.json` parsed to a live id and survived
         // forever. Only the canonical `shard_file_name` round trip names
-        // a shard; everything else matching `path-*.json` is junk.
+        // a shard; everything else matching `path-*.json` is junk, and
+        // so is a temp whose target is junk.
         let dir = scratch("orphan-canonical");
         std::fs::create_dir_all(&dir).unwrap();
-        for junk in ["path-007.json", "path-+5.json", "path-abc.json"] {
-            std::fs::write(dir.join(junk), "{}").unwrap();
+        let junk = [
+            "path-007.json",
+            "path-+5.json",
+            "path-abc.json",
+            ".path-007.json.tmp.99",
+        ];
+        for name in junk {
+            std::fs::write(dir.join(name), "{}").unwrap();
         }
         std::fs::write(dir.join(shard_file_name(1)), "{}").unwrap();
-        std::fs::write(dir.join(SHARD_MANIFEST), "{}").unwrap();
-        let temp = dir.join(".path-1.json.tmp.99");
+        // Neither a shard nor a temp: an older cache's `manifest.json`.
+        std::fs::write(dir.join("manifest.json"), "{}").unwrap();
+        // The temp of a live shard not yet on disk: about to be renamed.
+        let temp = dir.join(".path-2.json.tmp.99");
         std::fs::write(&temp, "{").unwrap();
-        remove_orphan_shards(&dir, 3);
-        for junk in ["path-007.json", "path-+5.json", "path-abc.json"] {
-            assert!(!dir.join(junk).exists(), "{junk} must be swept");
+        tidy_shard_dir(&dir, 3);
+        for name in junk {
+            assert!(!dir.join(name).exists(), "{name} must be swept");
         }
         assert!(dir.join(shard_file_name(1)).is_file(), "canonical stays");
-        assert!(dir.join(SHARD_MANIFEST).is_file(), "manifest untouched");
-        assert!(temp.is_file(), "atomic temps belong to the temp sweep");
+        assert!(dir.join("manifest.json").is_file(), "unrelated file stays");
+        assert!(temp.is_file(), "a live shard's pending temp stays");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -247,27 +247,19 @@ fn tally_regime(regime: crate::faults::OutageRegime) {
 }
 
 /// Folds one finished transfer's flow statistics into the telemetry
-/// registry (segments, retransmissions, RTO firings, cwnd samples).
+/// registry (segments, retransmissions, RTO firings).
 fn tally_flow(stats: &tputpred_tcp::FlowStats) {
     obs::add("tcp.transfers", 1);
     obs::add("tcp.segments_sent", stats.segments_sent);
     obs::add("tcp.retransmits", stats.retransmits);
     obs::add("tcp.fast_retransmits", stats.fast_retransmits);
     obs::add("tcp.rto_firings", stats.timeouts);
-    let cwnd = &stats.cwnd_bytes;
-    obs::record_summary(
-        "tcp.cwnd_bytes",
-        cwnd.count(),
-        cwnd.mean() * cwnd.count() as f64,
-        cwnd.min(),
-        cwnd.max(),
-    );
 }
 
 /// Folds a trace's engine, link, and probe tallies into the telemetry
 /// registry once the epoch loop is over — the hot event loop itself
 /// touches only the engine's plain local counters.
-fn flush_trace_telemetry(world: &TraceWorld, trace_len: Time) {
+fn flush_trace_telemetry(world: &TraceWorld) {
     if !obs::enabled() {
         return;
     }
@@ -290,8 +282,6 @@ fn flush_trace_telemetry(world: &TraceWorld, trace_len: Time) {
     obs::add("netsim.fwd.packets_out", fwd.packets_out);
     obs::add("netsim.fwd.bytes_out", fwd.bytes_out);
     obs::add("netsim.fwd.drops", fwd.drops);
-    obs::record("netsim.fwd.drop_rate", fwd.drop_rate());
-    obs::record("netsim.fwd.utilization", fwd.utilization(trace_len));
     let ping = world.ping.borrow();
     obs::add("probes.ping.sent", ping.total_sent() as u64);
     obs::add("probes.ping.replies_lost", ping.replies_lost() as u64);
@@ -540,7 +530,7 @@ pub fn run_trace_pooled(
             true_avail_bw,
         });
     }
-    flush_trace_telemetry(&world, preset.trace_len());
+    flush_trace_telemetry(&world);
     *pool = world.sim.into_pool();
     TraceData { records }
 }

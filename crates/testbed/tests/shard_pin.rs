@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use tputpred_netsim::Time;
-use tputpred_testbed::data::{shard_file_name, SHARD_MANIFEST};
+use tputpred_testbed::data::shard_file_name;
 use tputpred_testbed::{
     catalog_for, for_each_path, generate, load_or_generate_sharded, FaultConfig, Preset,
     RegimeConfig, ShardStats,
@@ -71,7 +71,6 @@ fn sharded_load_is_bit_identical_to_from_scratch_generation() {
         reference_json,
         "cold sharded generation changed serialized bytes"
     );
-    assert!(dir.join(SHARD_MANIFEST).is_file(), "manifest written");
 
     // Warm: pure reload from shards.
     let (warm, warm_stats) = load_or_generate_sharded(&dir, &preset).expect("warm load");

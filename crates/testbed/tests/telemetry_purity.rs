@@ -81,6 +81,37 @@ fn generation_is_bit_identical_with_telemetry_on_and_off() {
         "per-trace wall clock recorded"
     );
 
+    // The counters and stage timers the repository benchmark's
+    // per-layer ledger reads (perfbench/src/report.rs) must stay
+    // registered. Counters that can legitimately stay 0 on this preset
+    // (drops, retransmits, RTOs, overflow migrations, pathload
+    // convergence) are not asserted: `obs::add` never registers a zero.
+    for name in [
+        "netsim.events",
+        "netsim.arrival_events",
+        "netsim.txdone_events",
+        "netsim.timer_events",
+        "tcp.segments_sent",
+        "probes.ping.sent",
+        "probes.pathload.runs",
+    ] {
+        assert!(
+            telemetry.counter(name).unwrap_or(0) > 0,
+            "ledger counter {name} not recorded"
+        );
+    }
+    for name in [
+        "stage.pathload_slot",
+        "stage.ping_window",
+        "stage.transfer",
+        "stage.small_transfer",
+    ] {
+        assert!(
+            telemetry.timer(name).is_some_and(|t| t.count > 0),
+            "ledger timer {name} not recorded"
+        );
+    }
+
     // And a disabled re-run records nothing new.
     obs::reset();
     let again = generate(&preset);
