@@ -16,13 +16,15 @@ use crate::preset::Preset;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::Path as FsPath;
 use tputpred_obs as obs;
 
 /// Digest of the simulation source trees this binary was compiled
 /// from, computed by `build.rs` (see `behavior_hash`).
 pub const BEHAVIOR_HASH: &str = env!("TPUTPRED_BEHAVIOR_HASH");
+
+mod decode;
 
 /// How much of an epoch's measurement schedule actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -182,6 +184,27 @@ impl EpochRecord {
             true_avail_bw: self.true_avail_bw,
         })
     }
+
+    /// The first float field holding a NaN or an infinity, with its
+    /// value — something no shard can store (see [`save_shard`]).
+    fn non_finite_field(&self) -> Option<(&'static str, f64)> {
+        [
+            ("a_hat", self.a_hat),
+            ("t_hat", self.t_hat),
+            ("p_hat", self.p_hat),
+            ("t_tilde", self.t_tilde),
+            ("p_tilde", self.p_tilde),
+            ("r_large", self.r_large),
+            ("r_small", self.r_small),
+            ("r_prefix_quarter", self.r_prefix_quarter),
+            ("r_prefix_half", self.r_prefix_half),
+            ("flow_retx_rate", Some(self.flow_retx_rate)),
+            ("flow_rtt", Some(self.flow_rtt)),
+            ("true_avail_bw", Some(self.true_avail_bw)),
+        ]
+        .into_iter()
+        .find_map(|(field, v)| v.filter(|v| !v.is_finite()).map(|v| (field, v)))
+    }
 }
 
 /// One trace: a consecutive sequence of epochs on one path.
@@ -286,12 +309,16 @@ impl Dataset {
     /// workers ran — `shard_pin.rs` pins multi-worker against
     /// single-worker output.
     ///
-    /// Trusted shards are parsed twice (once to classify, once to
-    /// visit): the price of not holding n payloads, and far cheaper
-    /// than regenerating. The visit pass re-checks trust against the
-    /// fingerprints of the classify pass, so a shard replaced or
-    /// damaged in between is regenerated, saved, and counted as stale —
-    /// never visited unverified, never an aborted walk.
+    /// Each trusted shard is read and decoded once. Classification
+    /// reads only a shard's envelope header — the fixed
+    /// `{"behavior_hash":…,"config_fingerprint":…,"path":` prefix
+    /// the shard writer emits byte for byte — and the visit pass reads
+    /// the whole file, re-checks that header against the same
+    /// fingerprints and decodes the payload with the typed decoder. A
+    /// shard that changed in between, or whose payload fails to decode
+    /// behind an intact header, is regenerated there, saved, and
+    /// counted as stale — never visited unverified, never an aborted
+    /// walk.
     ///
     /// Housekeeping on every walk, in one scan of `dir`: orphaned
     /// atomic-write temp files are swept and shards beyond the catalog
@@ -310,20 +337,21 @@ impl Dataset {
         fs::create_dir_all(dir)?;
         tidy_shard_dir(dir, catalog.len());
 
-        let fingerprints: Vec<String> = catalog
+        let digest = preset_digest(preset);
+        let headers: Vec<String> = catalog
             .iter()
-            .map(|config| shard_fingerprint(preset, config))
+            .map(|config| shard_header(&config_fingerprint(digest, config)))
             .collect();
         let mut stats = ShardStats::default();
         let mut stale_ids: Vec<usize> = Vec::new();
-        for (id, expected) in fingerprints.iter().enumerate() {
-            match load_shard(&dir.join(shard_file_name(id))) {
-                Ok(shard) if shard_trusted(&shard, expected) => stats.hits += 1,
+        for (id, header) in headers.iter().enumerate() {
+            match read_prefix(&dir.join(shard_file_name(id)), header.len()) {
+                Ok(prefix) if prefix == header.as_bytes() => stats.hits += 1,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     stats.missing += 1;
                     stale_ids.push(id);
                 }
-                // Unparseable or truncated, or generated by different
+                // Truncated, not a shard, or generated by different
                 // simulation code or a different (preset, config).
                 _ => {
                     stats.stale += 1;
@@ -362,14 +390,14 @@ impl Dataset {
             outcomes.into_iter().collect::<io::Result<()>>()?;
         }
 
-        for (id, expected) in fingerprints.iter().enumerate() {
-            let path = match load_shard(&dir.join(shard_file_name(id))) {
-                Ok(shard) if shard_trusted(&shard, expected) => shard.path,
-                _ => {
+        for (id, header) in headers.iter().enumerate() {
+            let path = match load_shard(&dir.join(shard_file_name(id)), header) {
+                Ok(shard) => shard.path,
+                Err(e) => {
                     eprintln!(
-                        "# dataset '{}': shard {id} changed after classification; \
-                         regenerating",
-                        preset.name
+                        "# dataset '{}': shard {id} {} ({e}); regenerating",
+                        preset.name,
+                        regeneration_reason(&e)
                     );
                     if stale_ids.binary_search(&id).is_err() {
                         stats.hits -= 1;
@@ -401,9 +429,10 @@ pub struct ShardStats {
     pub hits: usize,
     /// Shards with no file on disk.
     pub missing: usize,
-    /// Shards present but untrusted: behavior-hash or fingerprint
-    /// mismatch, or unparseable JSON — at classification or, for a
-    /// shard replaced in between, at visit time.
+    /// Shards present but untrusted: an envelope header whose behavior
+    /// hash or fingerprint does not match, or a truncated one, at
+    /// classification; or, at visit time, a shard whose header changed
+    /// since classification or whose payload fails to decode.
     pub stale: usize,
 }
 
@@ -447,39 +476,93 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// serialized JSON of both, so any field change — however small —
 /// invalidates exactly the shards it affects.
 pub fn shard_fingerprint(preset: &Preset, config: &PathConfig) -> String {
+    config_fingerprint(preset_digest(preset), config)
+}
+
+/// The FNV-1a state after the serialized preset, shared by every
+/// fingerprint of one walk: serializing the preset costs as much as
+/// the rest of a warm shard's classification, so a walk does it once.
+fn preset_digest(preset: &Preset) -> u64 {
     let preset_json = serde_json::to_string(preset).unwrap_or_default();
+    fnv1a(fnv1a(0xcbf2_9ce4_8422_2325, preset_json.as_bytes()), &[0])
+}
+
+/// [`shard_fingerprint`] continued from a [`preset_digest`].
+fn config_fingerprint(preset_digest: u64, config: &PathConfig) -> String {
     let config_json = serde_json::to_string(config).unwrap_or_default();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    h = fnv1a(h, preset_json.as_bytes());
-    h = fnv1a(h, &[0]);
-    h = fnv1a(h, config_json.as_bytes());
-    h = fnv1a(h, &[0]);
+    let h = fnv1a(fnv1a(preset_digest, config_json.as_bytes()), &[0]);
     format!("{h:016x}")
 }
 
-/// Whether a shard on disk can be reused by this binary: its embedded
-/// behavior hash must match the compiled-in [`BEHAVIOR_HASH`] and its
-/// config fingerprint must match the expected
-/// [`shard_fingerprint`] of the current (preset, path config).
-fn shard_trusted(shard: &ShardFile, expected_fingerprint: &str) -> bool {
-    shard.behavior_hash == BEHAVIOR_HASH && shard.config_fingerprint == expected_fingerprint
+/// The envelope header every trusted shard starts with, byte for byte:
+/// the compiled-in [`BEHAVIOR_HASH`] and the expected
+/// [`shard_fingerprint`] of the current (preset, path config), in the
+/// order [`save_shard`] writes them. A shard can be reused by this
+/// binary exactly when its file starts with this prefix (and, at visit
+/// time, the rest decodes).
+fn shard_header(fingerprint: &str) -> String {
+    format!(
+        "{{\"behavior_hash\":\"{BEHAVIOR_HASH}\",\"config_fingerprint\":\"{fingerprint}\",\"path\":"
+    )
 }
 
-/// Loads one shard envelope.
-fn load_shard(path: &FsPath) -> io::Result<ShardFile> {
+/// Reads at most the first `len` bytes of the file at `path`.
+fn read_prefix(path: &FsPath, len: usize) -> io::Result<Vec<u8>> {
+    let mut prefix = Vec::with_capacity(len);
+    fs::File::open(path)?
+        .take(len as u64)
+        .read_to_end(&mut prefix)?;
+    Ok(prefix)
+}
+
+/// Loads one shard whose envelope must start with `header`: a different
+/// header is an error of kind `Other`, and a file that is not valid
+/// UTF-8 or fails to decode one of kind `InvalidData`.
+fn load_shard(path: &FsPath, header: &str) -> io::Result<ShardFile> {
     let json = fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(io::Error::other)
+    if !json.starts_with(header) {
+        return Err(io::Error::other("envelope header does not match"));
+    }
+    decode::decode_shard(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Saves one shard atomically, embedding the current behavior hash and
-/// the (preset, config) fingerprint.
+/// Why the visit pass could not use a shard [`load_shard`] refused.
+fn regeneration_reason(err: &io::Error) -> &'static str {
+    if err.kind() == io::ErrorKind::InvalidData {
+        "failed to decode"
+    } else {
+        "changed after classification"
+    }
+}
+
+/// Saves one shard atomically: the [`shard_header`] of the current
+/// behavior hash and (preset, config) fingerprint, the payload, and the
+/// envelope's closing brace — the same bytes as serializing the whole
+/// [`ShardFile`], without copying the payload into one.
+///
+/// A record holding a NaN or an infinity is refused with an
+/// `InvalidData` error: JSON writes a non-finite float as `null`, which
+/// either never decodes (a plain `f64` field, so the shard would be
+/// regenerated on every walk) or reads back as `None` (an `Option`
+/// field, so warm data would differ from cold).
 fn save_shard(dir: &FsPath, id: usize, preset: &Preset, data: &PathData) -> io::Result<()> {
-    let shard = ShardFile {
-        behavior_hash: BEHAVIOR_HASH.to_string(),
-        config_fingerprint: shard_fingerprint(preset, &data.config),
-        path: data.clone(),
-    };
-    let json = serde_json::to_string(&shard).map_err(io::Error::other)?;
+    for (t, trace) in data.traces.iter().enumerate() {
+        for (e, record) in trace.records.iter().enumerate() {
+            if let Some((field, value)) = record.non_finite_field() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "path {id} ({}): trace {t} epoch {e} field `{field}` is {value}, \
+                         which a shard cannot store",
+                        data.config.name
+                    ),
+                ));
+            }
+        }
+    }
+    let mut json = shard_header(&shard_fingerprint(preset, &data.config));
+    json.push_str(&serde_json::to_string(data).map_err(io::Error::other)?);
+    json.push('}');
     write_atomic(&dir.join(shard_file_name(id)), &json)
 }
 
@@ -1106,6 +1189,123 @@ mod tests {
     }
 
     #[test]
+    fn saved_shards_start_with_the_envelope_header() {
+        // Classification reads only this prefix, so the writer must
+        // emit it byte for byte — and the file must be exactly the
+        // serialized envelope (the shard format is unchanged).
+        let dir = scratch("shard-header");
+        let preset = Preset::tiny();
+        let catalog = shard_catalog();
+        walk(&dir, &preset, &catalog);
+        for (id, config) in catalog.iter().enumerate() {
+            let json = std::fs::read_to_string(dir.join(shard_file_name(id))).unwrap();
+            let fingerprint = shard_fingerprint(&preset, config);
+            assert!(json.starts_with(&shard_header(&fingerprint)));
+            let envelope = ShardFile {
+                behavior_hash: BEHAVIOR_HASH.to_string(),
+                config_fingerprint: fingerprint,
+                path: fake_path(&catalog, id),
+            };
+            assert_eq!(json, serde_json::to_string(&envelope).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn body_corrupt_shard_behind_an_intact_header_is_regenerated_once() {
+        // The header passes classification, so the damage surfaces only
+        // when the visit pass decodes: garbage appended, the body cut
+        // off after the header, a run of `[` (which would overflow the
+        // stack of a parser without a recursion limit), and a deeply
+        // nested value where the path config belongs.
+        let dir = scratch("shard-body");
+        let preset = Preset::tiny();
+        let catalog = shard_catalog();
+        walk(&dir, &preset, &catalog);
+        let shard = dir.join(shard_file_name(1));
+        let valid = std::fs::read_to_string(&shard).unwrap();
+        let header = shard_header(&shard_fingerprint(&preset, &catalog[1]));
+        let deep = "[".repeat(1_000_000);
+        let damaged = [
+            format!("{valid}garbage"),
+            header.clone(),
+            format!("{header}{deep}"),
+            format!("{header}{{\"config\":{deep}"),
+        ];
+        for body in damaged {
+            std::fs::write(&shard, &body).unwrap();
+            let err = load_shard(&shard, &header).unwrap_err();
+            assert_eq!(
+                regeneration_reason(&err),
+                "failed to decode",
+                "the log names the cause"
+            );
+            let (visited, asked, stats) = walk(&dir, &preset, &catalog);
+            assert_eq!(asked, vec![1], "regenerated exactly once");
+            assert_eq!(
+                stats,
+                ShardStats {
+                    hits: 2,
+                    missing: 0,
+                    stale: 1
+                }
+            );
+            assert_eq!(visited[1], fake_path(&catalog, 1), "visit sees fresh data");
+            let (_, asked, warm) = walk(&dir, &preset, &catalog);
+            assert!(asked.is_empty(), "the re-saved shard is trusted next walk");
+            assert_eq!(warm.hits, 3);
+        }
+        // A foreign header that arrives after classification is a change,
+        // not a decode failure.
+        write_foreign_shard(&dir, 1, &preset, &fake_path(&catalog, 1));
+        let err = load_shard(&shard, &header).unwrap_err();
+        assert_eq!(regeneration_reason(&err), "changed after classification");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_finite_records_are_refused_not_saved() {
+        // JSON has no NaN or infinity: such a record would be written as
+        // `null` and either never load again (regenerated on every walk)
+        // or read back as `None` (warm data differing from cold).
+        let catalog = shard_catalog();
+        type Poison = fn(&mut EpochRecord);
+        let poisons: [(&str, Poison); 3] = [
+            ("flow_rtt", |r| r.flow_rtt = f64::NAN),
+            ("r_small", |r| r.r_small = Some(f64::INFINITY)),
+            ("true_avail_bw", |r| r.true_avail_bw = f64::NEG_INFINITY),
+        ];
+        for (field, poison) in poisons {
+            let dir = scratch("shard-nonfinite");
+            let err = Dataset::for_each_path_sharded(
+                &dir,
+                &Preset::tiny(),
+                &catalog,
+                |id| {
+                    let mut data = fake_path(&catalog, id);
+                    if id == 1 {
+                        let mut bad = record(5e6);
+                        poison(&mut bad);
+                        data.traces.push(TraceData {
+                            records: vec![record(4e6), bad],
+                        });
+                    }
+                    data
+                },
+                |_, _| Ok(()),
+            )
+            .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            for part in ["path 1", "trace 1", "epoch 1", field] {
+                assert!(msg.contains(part), "{msg} names {part}");
+            }
+            assert!(!dir.join(shard_file_name(1)).exists(), "nothing saved");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
     fn shard_fingerprint_separates_presets_and_configs() {
         let catalog = shard_catalog();
         let tiny = Preset::tiny();
@@ -1116,6 +1316,10 @@ mod tests {
         assert_eq!(fp, shard_fingerprint(&tiny, &catalog[0]), "deterministic");
         assert_ne!(fp, shard_fingerprint(&tiny, &catalog[1]));
         assert_ne!(fp, shard_fingerprint(&quick, &catalog[0]));
+        // Pinned values: a changed digest would silently invalidate
+        // every shard on disk.
+        assert_eq!(fp, "dcb651f9a7f31e59");
+        assert_eq!(shard_fingerprint(&quick, &catalog[2]), "acde8c3ff0b768d8");
     }
 
     #[test]
